@@ -27,15 +27,18 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
-from scipy.stats import qmc
 
-from .model import (
+from .model import (  # noqa: F401 (bench/tracing.py rebinds utility_rate_space)
     LN2,
     EquilibriumResult,
     GameConfig,
     InfeasibilityError,
+    _as_rates,
     _fees_all,
+    _invert,
     _utilities_all,
+    _utility,
+    _utility_along,
     gradient_all,
     invert_rates,
     utility_rate_space,
@@ -84,14 +87,16 @@ class SolverOptions:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and > 0")
+        if not math.isfinite(self.step_size):
+            raise ValueError("step_size must be finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.method == "gradient_ascent" and self.step_size <= 0:
             raise ValueError("step_size must be > 0 for gradient ascent")
-        if self.min_rate < 0:
-            raise ValueError("min_rate must be >= 0")
+        if not 0 <= self.min_rate < math.inf:
+            raise ValueError("min_rate must be finite and >= 0")
         if self.refine_after < 0:
             raise ValueError("refine_after must be >= 0")
 
@@ -122,11 +127,7 @@ class ExistenceReport:
 # ---------------------------------------------------------------------------
 
 def _profile_feasible(r: np.ndarray, cfg: GameConfig) -> bool:
-    try:
-        invert_rates(r, cfg)
-        return True
-    except InfeasibilityError:
-        return False
+    return _invert(r, cfg)[4]
 
 
 def rate_upper_bound(
@@ -140,8 +141,9 @@ def rate_upper_bound(
     Raises:
         EmptyFeasibleInterval: even min_rate is infeasible against `rates`.
     """
-    r = np.asarray(rates, dtype=float).copy()
+    r = np.array(rates, dtype=float)
     r[i] = min_rate
+    _as_rates(r, cfg)
     if not _profile_feasible(r, cfg):
         raise EmptyFeasibleInterval(i, min_rate)
     lo = min_rate
@@ -213,14 +215,14 @@ def _best_response_full(
 
     def u_of(x: float) -> float:
         r[i] = x
-        return utility_rate_space(i, r, cfg)
+        return _utility(i, r, cfg)
 
     def g_of(x: float) -> float:
         r[i] = x
         return float(gradient_all(r, cfg)[i])
 
     grid = np.linspace(lo, hi, _COARSE_GRID)
-    values = [u_of(float(x)) for x in grid]
+    values = _utility_along(i, r, grid, cfg)
     k = int(np.argmax(values))          # first (smallest-rate) maximum on ties
     a = float(grid[max(k - 1, 0)])
     b = float(grid[min(k + 1, _COARSE_GRID - 1)])
@@ -282,6 +284,27 @@ def best_response(
 # existence check
 # ---------------------------------------------------------------------------
 
+def _halton(start: int, count: int, dim: int) -> np.ndarray:
+    """Points start..start+count-1 of the unscrambled Halton sequence in [0,1)^dim.
+
+    Radical inverses in the first dim prime bases, summed digit by digit as
+    scipy.stats.qmc.Halton(scramble=False) does, so the two agree to the bit.
+    """
+    limit = dim * (dim.bit_length() + 4)        # above the dim-th prime
+    sieve = np.ones(limit + 1, dtype=bool)
+    for k in range(2, math.isqrt(limit) + 1):
+        sieve[k * k::k] = False
+    bases = np.nonzero(sieve)[0][2:2 + dim]     # past 0 and 1
+    q = np.repeat(np.arange(start, start + count)[:, None], dim, axis=1)
+    x = np.zeros((count, dim))
+    f = 1.0 / bases
+    while q.any():
+        x += (q % bases) * f
+        q //= bases
+        f /= bases
+    return x
+
+
 def check_existence(
     cfg: GameConfig,
     region: tuple = (DEFAULT_MIN_RATE, 0.5),
@@ -312,34 +335,28 @@ def check_existence(
     condition_a = bc.quad_coeff * bc.compute_coeff**2 - bc.const_coeff >= 0.0
     condition_b = float(lower.sum()) >= 1.0
 
-    sampler = qmc.Halton(d=n, scramble=False)
     worst_value = -math.inf
     worst_sensor = -1
     worst_point = lower.copy()
     evaluated = 0
     skipped = 0
-    max_draws = 200 * samples
-    drawn = 0
-    while evaluated < samples and drawn < max_draws:
-        batch = sampler.random(min(256, max_draws - drawn))
-        drawn += len(batch)
-        for unit in batch:
-            if evaluated >= samples:
-                break
-            point = lower + unit * (upper - lower)
-            try:
-                values = [
-                    utility_second_derivative(i, point, cfg) for i in range(n)
-                ]
-            except InfeasibilityError:
-                skipped += 1
-                continue
-            evaluated += 1
-            j = int(np.argmax(values))
-            if values[j] > worst_value:
-                worst_value = values[j]
-                worst_sensor = j
-                worst_point = point.copy()
+    for k in range(200 * samples):
+        if evaluated >= samples:
+            break
+        if k % 256 == 0:
+            batch = lower + _halton(k, 256, n) * (upper - lower)
+        point = batch[k % 256]
+        try:
+            values = [utility_second_derivative(i, point, cfg) for i in range(n)]
+        except InfeasibilityError:
+            skipped += 1
+            continue
+        evaluated += 1
+        j = int(np.argmax(values))
+        if values[j] > worst_value:
+            worst_value = values[j]
+            worst_sensor = j
+            worst_point = point.copy()
     if evaluated < samples:
         raise RuntimeError(
             f"could only evaluate {evaluated}/{samples} points in the region; "
@@ -611,14 +628,14 @@ def verify_epsilon_ne(
 
         def u_of(x: float) -> float:
             r[i] = x
-            return utility_rate_space(i, r, cfg)
+            return _utility(i, r, cfg)
 
-        values = [u_of(float(x)) for x in grid]
+        values = _utility_along(i, r, grid, cfg)
         k = int(np.argmax(values))
         a = float(grid[max(k - 1, 0)])
         b = float(grid[min(k + 1, grid_points - 1)])
         _, u_best = _golden_max(u_of, a, b)
-        u_best = max(u_best, values[k])
+        u_best = max(u_best, float(values[k]))
         r[i] = r_star[i]
         worst = max(worst, u_best - float(base[i]))
     return worst <= epsilon, worst

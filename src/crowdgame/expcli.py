@@ -25,7 +25,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -318,16 +318,8 @@ def run_sweep(spec: ExperimentSpec) -> int:
         try:
             _set_param(doc, spec.sweep_param, value)
             cfg = _build_config(doc)
-            opts = SolverOptions(
-                method=spec.solver.method,
-                init_rates=None,   # no warm start, for reproducibility
-                step_size=spec.solver.step_size,
-                tol=spec.solver.tol,
-                max_iter=spec.solver.max_iter,
-                min_rate=spec.solver.min_rate,
-                refine_after=spec.solver.refine_after,
-            )
-            res = equilibrium.solve(cfg, opts)
+            # no warm start, for reproducibility
+            res = equilibrium.solve(cfg, replace(spec.solver, init_rates=None))
             iterations = res.iterations
             if not res.converged:
                 status = "non-convergence"
@@ -362,11 +354,9 @@ def run_br_curve(spec: ExperimentSpec) -> int:
     res = equilibrium.solve(cfg, spec.solver)
     r = res.rates.copy()
     hi = equilibrium.rate_upper_bound(i, r, cfg, spec.solver.min_rate)
-    points = []
-    for x in np.linspace(spec.solver.min_rate, hi, spec.curve_points):
-        r[i] = float(x)
-        points.append((float(x), model.utility_rate_space(i, r, cfg), 0))
-    r[i] = res.rates[i]
+    grid = np.linspace(spec.solver.min_rate, hi, spec.curve_points)
+    utils = model._utility_along(i, r, grid, cfg)
+    points = [(float(x), float(u), 0) for x, u in zip(grid, utils)]
     br = equilibrium._best_response_full(i, r, cfg, spec.solver.min_rate)
     r[i] = br
     points.append((br, model.utility_rate_space(i, r, cfg), 1))

@@ -23,6 +23,11 @@ power bill a*(m*R)^2 + b*(m*R) + c, where R is the total admitted rate.
 
 Everything in this module is a pure function of its arguments; GameConfig is
 treated as immutable after construction.
+
+One arithmetic: the private kernel `_invert` maps a profile (n,) or a stack
+(k, n) to powers, never raises and never evaluates gamma.  The solvers call it
+directly; the public wrappers validate their input and raise the typed errors
+after the kernel reports infeasibility, so every path gives the same bits.
 """
 
 from __future__ import annotations
@@ -40,6 +45,8 @@ DEFAULT_FEASIBILITY_MARGIN = 1e-9
 
 #: Power cap applied when a sensor does not specify max_received_power.
 DEFAULT_POWER_CAP = 10.0
+
+_STACK_SIZE = 1 << 16   # rates per stacked kernel call, bounding its memory
 
 # Rate and power profiles are plain float arrays indexed by sensor id.
 RateVector = np.ndarray
@@ -159,9 +166,9 @@ class GameConfig:
             math.isfinite(self.noise_variance) and self.noise_variance > 0,
             "noise_variance", "must be finite and > 0",
         )
-        _require(self.power_price >= 0, "power_price", "must be >= 0")
         # eta = 0 is allowed: charging cost then ignores beacon distance
-        _require(self.wpt_path_loss_exp >= 0, "wpt_path_loss_exp", "must be >= 0")
+        for name in ("power_price", "wpt_path_loss_exp"):
+            _require(0 <= getattr(self, name) < math.inf, name, "must be finite and >= 0")
         grab = lambda name: np.array([getattr(s, name) for s in self.sensors])
         self.bandwidths = grab("bandwidth")
         self.gains = grab("channel_gain")
@@ -243,6 +250,38 @@ def forward_rates(powers: PowerVector, cfg: GameConfig) -> RateVector:
     return cfg.bandwidths * np.log1p(beta / interference) / LN2
 
 
+def _invert(r: np.ndarray, cfg: GameConfig, margin: float = DEFAULT_FEASIBILITY_MARGIN):
+    """(load, beta_sum, beta, powers, ok) of a profile (n,) or of each row of (k, n).
+
+    `ok` is False where T >= 1 - margin, a power exceeds its cap or a rate is
+    NaN; one profile with infeasible load returns None for the arrays.
+    """
+    t = -np.expm1(-LN2 * (r / cfg.bandwidths))  # gamma/(1+gamma), computed stably
+    s2 = cfg.noise_variance
+    if r.ndim == 1:
+        load = float(t.sum())
+        if not load < 1.0 - margin:
+            return load, None, None, None, False
+        beta_sum = s2 * load / (1.0 - load)
+        beta = t * (beta_sum + s2)
+        p = cfg.circuit_powers + beta * cfg.inv_gain_pathloss
+        return load, beta_sum, beta, p, bool((p <= cfg.power_caps).all())
+    load = t.sum(axis=1)
+    ok = load < 1.0 - margin
+    safe = np.where(ok, load, 0.0)
+    beta_sum = s2 * safe / (1.0 - safe)
+    beta = t * (beta_sum + s2)[:, None]
+    p = cfg.circuit_powers + beta * cfg.inv_gain_pathloss
+    return load, beta_sum, beta, p, ok & (p <= cfg.power_caps).all(axis=1)
+
+
+def _as_rates(values, cfg: GameConfig) -> np.ndarray:
+    r = _as_profile(values, cfg, "rates")
+    if not np.all(np.isfinite(r)) or np.any(r < 0):
+        raise ValueError("rates must be finite and >= 0")
+    return r
+
+
 def invert_rates(
     rates: RateVector,
     cfg: GameConfig,
@@ -260,22 +299,14 @@ def invert_rates(
             the image of any finite power profile.
         PowerBoundExceeded: some sensor would need more than its power cap.
     """
-    r = _as_profile(rates, cfg, "rates")
-    if not np.all(np.isfinite(r)) or np.any(r < 0):
-        raise ValueError("rates must be finite and >= 0")
-    x = r / cfg.bandwidths
-    gamma = np.expm1(LN2 * x)
-    t = -np.expm1(-LN2 * x)          # gamma/(1+gamma), computed stably
-    load = float(t.sum())
-    if load >= 1.0 - feasibility_margin:
+    r = _as_rates(rates, cfg)
+    load, beta_sum, beta, p, ok = _invert(r, cfg, feasibility_margin)
+    if p is None:
         raise InfeasibleRates(load)
-    beta_sum = cfg.noise_variance * load / (1.0 - load)
-    beta = t * (beta_sum + cfg.noise_variance)
-    p = cfg.circuit_powers + beta * cfg.inv_gain_pathloss
-    over = np.nonzero(p > cfg.power_caps)[0]
-    if over.size:
-        i = int(over[0])
+    if not ok:
+        i = int(np.nonzero(p > cfg.power_caps)[0][0])
         raise PowerBoundExceeded(i, float(p[i]), float(cfg.power_caps[i]))
+    gamma = np.expm1(LN2 * (r / cfg.bandwidths))
     return p, RateInversion(gamma=gamma, beta=beta, beta_sum=beta_sum, load=load)
 
 
@@ -314,16 +345,16 @@ def wpt_cost(i: int, p_i: float, cfg: GameConfig) -> float:
 # ---------------------------------------------------------------------------
 
 def _fees_all(r: np.ndarray, cfg: GameConfig) -> np.ndarray:
-    total = float(r.sum())
-    if total <= 0.0:
-        return np.zeros_like(r)
-    return r / total * blockchain_power(total, cfg.blockchain)
+    """Every sensor's fee, for one profile (n,) or each row of a stack (k, n)."""
+    total = r.sum(axis=-1, keepdims=True)
+    safe = np.where(total > 0.0, total, 1.0)   # a zero total has zero fees
+    return r / safe * blockchain_power(safe, cfg.blockchain)
 
 
 def _utilities_all(
     r: np.ndarray, cfg: GameConfig, powers: np.ndarray | None = None
 ) -> np.ndarray:
-    """Per-sensor utilities of a rate profile (single inversion, one pass)."""
+    """Per-sensor utilities of a profile, or of a stack given its powers."""
     if powers is None:
         powers, _ = invert_rates(r, cfg)
     return cfg.rate_prices * r - cfg.wpt_factors * powers - _fees_all(r, cfg)
@@ -336,13 +367,35 @@ def utility_rate_space(i: int, rates: RateVector, cfg: GameConfig) -> float:
     rate profiles propagate InfeasibleRates / PowerBoundExceeded.
     """
     _check_sensor_id(i, cfg)
-    r = _as_profile(rates, cfg, "rates")
-    powers, _ = invert_rates(r, cfg)
-    return (
-        float(cfg.rate_prices[i]) * float(r[i])
-        - wpt_cost(i, float(powers[i]), cfg)
-        - transaction_fee(i, r, cfg)
-    )
+    return _utility(i, _as_rates(rates, cfg), cfg)
+
+
+def _utility(i: int, r: np.ndarray, cfg: GameConfig) -> float:
+    """utility_rate_space on a valid profile, without the validation."""
+    *_, p, ok = _invert(r, cfg)
+    if not ok:
+        invert_rates(r, cfg)        # raises the typed error
+    total = float(r.sum())
+    fee = 0.0
+    if total > 0.0:
+        fee = float(r[i]) / total * blockchain_power(total, cfg.blockchain)
+    return (float(cfg.rate_prices[i]) * float(r[i])
+            - float(cfg.wpt_factors[i]) * float(p[i]) - fee)
+
+
+def _utility_along(
+    i: int, r: np.ndarray, grid: np.ndarray, cfg: GameConfig
+) -> np.ndarray:
+    """_utility at each own-rate of `grid`, the others fixed at r, stacked."""
+    out = []
+    for own in np.array_split(grid, max(1, grid.size * r.size // _STACK_SIZE)):
+        R = np.tile(r, (own.size, 1))
+        R[:, i] = own
+        *_, P, ok = _invert(R, cfg)
+        if not ok.all():
+            invert_rates(R[np.argmin(ok)], cfg)   # raises for the first bad row
+        out.append(_utilities_all(R, cfg, P)[:, i])
+    return np.concatenate(out)
 
 
 def utility_power_space(i: int, powers: PowerVector, cfg: GameConfig) -> float:

@@ -41,6 +41,10 @@ def test_solver_options_validation():
         SolverOptions(max_iter=0)
     with pytest.raises(ValueError):
         SolverOptions(method="gradient_ascent", step_size=0.0)
+    for name in ("tol", "min_rate", "step_size"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                SolverOptions(**{name: bad})
 
 
 def test_check_existence_sec4(sec4_cfg):

@@ -13,9 +13,11 @@ from crowdgame.expcli import (
     EXIT_NONCONVERGENCE,
     EXIT_OK,
     ConfigError,
+    ExperimentSpec,
     config_to_dict,
     load_config,
     main,
+    run_sweep,
     save_config,
 )
 
@@ -212,6 +214,24 @@ def test_sweep_records_failures_in_row(tmp_path):
     assert rows[2]["status"] == "ok"
 
 
+def test_sweep_passes_options_but_not_the_start(tmp_path):
+    from dataclasses import replace
+
+    from crowdgame.equilibrium import SolverOptions, solve
+
+    opts = SolverOptions(max_iter=2, refine_after=0)
+    out = tmp_path / "sweep.csv"
+    spec = ExperimentSpec(
+        config_path=str(SEC4_CONFIG_PATH), command="sweep",
+        solver=replace(opts, init_rates=np.full(10, 0.3)), output_path=str(out),
+        sweep_param="power_price", sweep_values=[0.01],   # sec4's own value
+    )
+    assert run_sweep(spec) == EXIT_NONCONVERGENCE
+    row = out.read_text().splitlines()[1].split(",")
+    res = solve(load_config(str(SEC4_CONFIG_PATH)), opts)
+    assert row[:13] == ["0.01", "non-convergence", "2"] + [f"{x:.12g}" for x in res.rates]
+
+
 def test_sweep_empty_values_is_config_error(tmp_path):
     cfg_path = write_doc(tmp_path, SINGLE_DOC)
     code = main(
@@ -295,6 +315,7 @@ def test_config_error_exit_code(tmp_path):
 def test_bad_solver_option_exit_code(tmp_path):
     cfg_path = write_doc(tmp_path, SINGLE_DOC)
     assert main(["solve", "--config", cfg_path, "--tol", "0"]) == EXIT_CONFIG
+    assert main(["solve", "--config", cfg_path, "--tol", "nan"]) == EXIT_CONFIG
     assert (
         main(
             ["check", "--config", cfg_path, "--region-low", "0.5",

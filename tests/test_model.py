@@ -45,6 +45,12 @@ def test_game_config_rejects_zero_noise():
         make_config([make_sensor()], noise_variance=0.0)
 
 
+@pytest.mark.parametrize("name", ["power_price", "wpt_path_loss_exp"])
+def test_game_config_rejects_infinite_prices(name):
+    with pytest.raises(ValueError, match=name):
+        make_config([make_sensor()], **{name: float("inf")})
+
+
 def test_game_config_rejects_empty_sensor_list():
     with pytest.raises(ValueError, match="sensors"):
         make_config([])
