@@ -36,6 +36,7 @@ from .model import (  # noqa: F401 (bench/tracing.py rebinds utility_rate_space)
     _as_rates,
     _fees_all,
     _invert,
+    _second_derivatives,
     _utilities_all,
     _utility,
     _utility_along,
@@ -329,34 +330,39 @@ def check_existence(
     upper = np.broadcast_to(np.asarray(region[1], dtype=float), (n,)).copy()
     if np.any(lower < 0) or np.any(upper < lower):
         raise ValueError("region must satisfy 0 <= lower <= upper")
+    if not np.all(np.isfinite(upper)):
+        raise ValueError("region must be finite")
     invert_rates(lower, cfg)   # raises if the whole region is infeasible
 
     bc = cfg.blockchain
     condition_a = bc.quad_coeff * bc.compute_coeff**2 - bc.const_coeff >= 0.0
     condition_b = float(lower.sum()) >= 1.0
 
-    worst_value = -math.inf
-    worst_sensor = -1
-    worst_point = lower.copy()
-    evaluated = 0
-    skipped = 0
-    for k in range(200 * samples):
+    # Halton points in order until `samples` are evaluated; a point is skipped
+    # where any sensor's second derivative is undefined (infeasible).
+    worst_value, worst_sensor, worst_point = -math.inf, -1, lower.copy()
+    evaluated = skipped = 0
+    limit = 200 * samples
+    for start in range(0, limit, 256):
+        batch = lower + _halton(start, min(256, limit - start), n) * (upper - lower)
+        values, ok, _ = _second_derivatives(batch, cfg, np.arange(n))
+        fine = ok.all(axis=1)
+        used = int(np.searchsorted(np.cumsum(fine), samples - evaluated)) + 1
+        batch, values, ok, fine = batch[:used], values[:used], ok[:used], fine[:used]
+        first = np.argmin(ok, axis=1)
+        zero = ~fine & (batch[np.arange(len(batch)), first] <= 0.0)
+        if zero.any():          # a zero rate is outside the domain: raise
+            k = int(np.argmax(zero))
+            utility_second_derivative(int(first[k]), batch[k], cfg)
+        skipped += int((~fine).sum())
+        evaluated += int(fine.sum())
+        best = np.where(fine, values.max(axis=1), -math.inf)
+        k = int(np.argmax(best))            # the first of the largest
+        if best[k] > worst_value:
+            worst_value, worst_sensor = float(best[k]), int(np.argmax(values[k]))
+            worst_point = batch[k].copy()
         if evaluated >= samples:
             break
-        if k % 256 == 0:
-            batch = lower + _halton(k, 256, n) * (upper - lower)
-        point = batch[k % 256]
-        try:
-            values = [utility_second_derivative(i, point, cfg) for i in range(n)]
-        except InfeasibilityError:
-            skipped += 1
-            continue
-        evaluated += 1
-        j = int(np.argmax(values))
-        if values[j] > worst_value:
-            worst_value = values[j]
-            worst_sensor = j
-            worst_point = point.copy()
     if evaluated < samples:
         raise RuntimeError(
             f"could only evaluate {evaluated}/{samples} points in the region; "
@@ -518,6 +524,9 @@ def solve(cfg: GameConfig, opts: SolverOptions | None = None) -> EquilibriumResu
             raise ValueError(f"init_rates has shape {r.shape}, expected ({n},)")
     else:
         r = np.full(n, opts.min_rate + 0.1)
+        if not _profile_feasible(r, cfg):
+            # too many sensors for that start: share half the load equally
+            r = np.maximum(-cfg.bandwidths * np.log2(1.0 - 0.5 / n), opts.min_rate)
     invert_rates(r, cfg)       # initial profile must be feasible
 
     stepper = _STEPPERS[opts.method]

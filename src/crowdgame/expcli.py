@@ -40,8 +40,6 @@ EXIT_NONCONVERGENCE = 5
 EXIT_EXISTENCE = 6
 EXIT_VERIFY = 7
 
-_COMMANDS = ("solve", "sweep", "br-curve", "verify", "check")
-
 _SENSOR_FIELDS = (
     "bandwidth",
     "channel_gain",
@@ -82,13 +80,17 @@ def _read_doc(path: str) -> dict:
     return doc
 
 
-def _build_config(doc: dict) -> GameConfig:
-    for key in _TOP_FIELDS:
+def _check_fields(doc: dict, fields: tuple, prefix: str):
+    for key in fields:
         if key not in doc:
-            raise ConfigError(f"missing required field '{key}'")
+            raise ConfigError(f"missing required field '{prefix}{key}'")
     for key in doc:
-        if key not in _TOP_FIELDS:
-            raise ConfigError(f"unknown field '{key}'")
+        if key not in fields:
+            raise ConfigError(f"unknown field '{prefix}{key}'")
+
+
+def _build_config(doc: dict) -> GameConfig:
+    _check_fields(doc, _TOP_FIELDS, "")
 
     sensors_doc = doc["sensors"]
     if not isinstance(sensors_doc, dict):
@@ -139,12 +141,7 @@ def _build_config(doc: dict) -> GameConfig:
     bc_doc = doc["blockchain"]
     if not isinstance(bc_doc, dict):
         raise ConfigError("'blockchain' must be an object")
-    for key in _BLOCKCHAIN_FIELDS:
-        if key not in bc_doc:
-            raise ConfigError(f"missing required field 'blockchain.{key}'")
-    for key in bc_doc:
-        if key not in _BLOCKCHAIN_FIELDS:
-            raise ConfigError(f"unknown field 'blockchain.{key}'")
+    _check_fields(bc_doc, _BLOCKCHAIN_FIELDS, "blockchain.")
     try:
         blockchain = BlockchainParams(
             **{key: float(bc_doc[key]) for key in _BLOCKCHAIN_FIELDS}
@@ -192,20 +189,11 @@ def save_config(cfg: GameConfig, path: str):
 
 def _set_param(doc: dict, path: str, value: float):
     """Assign one sweep value into a config document, in place."""
-    parts = path.split(".")
-    if len(parts) == 1:
-        key = parts[0]
-        if key not in ("noise_variance", "power_price", "wpt_path_loss_exp"):
-            raise ConfigError(f"unknown sweep parameter path '{path}'")
-        doc[key] = value
-    elif len(parts) == 2 and parts[0] == "blockchain":
-        if parts[1] not in _BLOCKCHAIN_FIELDS:
-            raise ConfigError(f"unknown sweep parameter path '{path}'")
-        doc["blockchain"][parts[1]] = value
-    elif len(parts) == 2 and parts[0] == "sensors":
-        if parts[1] not in _SENSOR_FIELDS:
-            raise ConfigError(f"unknown sweep parameter path '{path}'")
-        doc["sensors"][parts[1]] = value   # scalar broadcast to all sensors
+    head, _, key = path.partition(".")
+    if not key and head in ("noise_variance", "power_price", "wpt_path_loss_exp"):
+        doc[head] = value
+    elif key in {"blockchain": _BLOCKCHAIN_FIELDS, "sensors": _SENSOR_FIELDS}.get(head, ()):
+        doc[head][key] = value      # a sensor field is a scalar broadcast to all
     else:
         raise ConfigError(f"unknown sweep parameter path '{path}'")
 
@@ -232,7 +220,7 @@ class ExperimentSpec:
     samples: int = 1000
 
     def __post_init__(self):
-        if self.command not in _COMMANDS:
+        if self.command not in _RUNNERS:
             raise ConfigError(f"unknown command '{self.command}'")
         if self.command == "sweep":
             if not self.sweep_param or not self.sweep_values:
@@ -264,11 +252,15 @@ def _emit(spec: ExperimentSpec, header: list[str], rows, footer: str | None = No
         writer.writerow([_fmt(x) for x in row])
     if footer is not None:
         buf.write(footer + "\n")
-    text = buf.getvalue()
+    _write(spec, buf.getvalue(), echo=False)
+
+
+def _write(spec: ExperimentSpec, text: str, echo: bool):
+    """Write text to --out if given; to stdout as well when echo is set."""
     if spec.output_path:
         with open(spec.output_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
+    if echo or not spec.output_path:
         sys.stdout.write(text)
 
 
@@ -382,11 +374,7 @@ def run_check(spec: ExperimentSpec) -> int:
         f"worst second derivative: {_fmt(report.details.value)} "
         f"at sensor {report.details.sensor + 1}",
     ]
-    text = "\n".join(lines) + "\n"
-    if spec.output_path:
-        with open(spec.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    _write(spec, "\n".join(lines) + "\n", echo=True)
     ok = report.condition_a and report.numeric_concavity
     return EXIT_OK if ok else EXIT_EXISTENCE
 
@@ -410,11 +398,7 @@ def run_verify(spec: ExperimentSpec) -> int:
         f"{_fmt(grid_worst)}",
         f"verified: {verified}",
     ]
-    text = "\n".join(lines) + "\n"
-    if spec.output_path:
-        with open(spec.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    _write(spec, "\n".join(lines) + "\n", echo=True)
     if not res.converged:
         return EXIT_NONCONVERGENCE
     return EXIT_OK if verified else EXIT_VERIFY

@@ -387,15 +387,13 @@ def _utility_along(
     i: int, r: np.ndarray, grid: np.ndarray, cfg: GameConfig
 ) -> np.ndarray:
     """_utility at each own-rate of `grid`, the others fixed at r, stacked."""
-    out = []
-    for own in np.array_split(grid, max(1, grid.size * r.size // _STACK_SIZE)):
-        R = np.tile(r, (own.size, 1))
-        R[:, i] = own
-        *_, P, ok = _invert(R, cfg)
-        if not ok.all():
-            invert_rates(R[np.argmin(ok)], cfg)   # raises for the first bad row
-        out.append(_utilities_all(R, cfg, P)[:, i])
-    return np.concatenate(out)
+    m = grid.size
+    p, total, ok = _own_powers(r[None], np.zeros(m, dtype=int), np.full(m, i), grid, cfg)
+    if not ok.all():            # raise for the first infeasible own-rate
+        invert_rates(_with_entry(r, i, grid[np.argmin(ok)]), cfg)
+    safe = np.where(total > 0.0, total, 1.0)   # a zero total has zero fees
+    fee = grid / safe * blockchain_power(safe, cfg.blockchain)
+    return cfg.rate_prices[i] * grid - cfg.wpt_factors[i] * p - fee
 
 
 def utility_power_space(i: int, powers: PowerVector, cfg: GameConfig) -> float:
@@ -456,7 +454,7 @@ def gradient_all(r: np.ndarray, cfg: GameConfig) -> np.ndarray:
     z = np.exp2(-x)                 # 2^(-r/b)
     t = 1.0 - z
     load = float(t.sum())
-    if load >= 1.0:
+    if load >= 1.0 - DEFAULT_FEASIBILITY_MARGIN:
         raise InfeasibleRates(load)
     eps = 1.0 - load
     tp = (LN2 / cfg.bandwidths) * z     # dt/dr
@@ -490,27 +488,62 @@ def utility_second_derivative(i: int, rates: RateVector, cfg: GameConfig) -> flo
         raise ValueError(
             "utility_second_derivative needs a strictly interior r_i > 0"
         )
-    h = max(1e-4, 1e-4 * float(r[i]))
-    if r[i] - h < 0.0:
-        h = 0.5 * float(r[i])
-    for attempt in range(2):
-        try:
-            p0, _ = invert_rates(r, cfg)
-            pp, _ = invert_rates(_with_entry(r, i, r[i] + h), cfg)
-            pm, _ = invert_rates(_with_entry(r, i, r[i] - h), cfg)
-            d2p = (float(pp[i]) - 2.0 * float(p0[i]) + float(pm[i])) / (h * h)
-            break
-        except InfeasibilityError:
-            if attempt == 1:
-                raise
-            h *= 0.1
+    invert_rates(r, cfg)        # validates, and raises if r is infeasible
+    d2u, ok, h = _second_derivatives(r[None], cfg, np.array([i]))
+    if not ok[0, 0]:            # both steps left the region: raise for the last
+        invert_rates(_with_entry(r, i, r[i] + h[0, 0]), cfg)
+        invert_rates(_with_entry(r, i, r[i] - h[0, 0]), cfg)
+    return float(d2u[0, 0])
+
+
+def _second_derivatives(R: np.ndarray, cfg: GameConfig, sensors: np.ndarray):
+    """utility_second_derivative of each of `sensors` at every row of R (k, n).
+
+    Returns (d2u, ok, h), each (k, len(sensors)), and never raises: ok is
+    False where r_i <= 0, the row is infeasible, or its +-h rows are still
+    infeasible after the retry at h/10 (h is then that last step).
+    """
+    k, m = R.shape[0], sensors.size
+    rows, own = np.repeat(np.arange(k), m), np.tile(sensors, k)
+    x = R[rows, own]
+    h = np.maximum(1e-4, 1e-4 * x)
+    h = np.where(x - h < 0.0, 0.5 * x, h)
+    p0, rho, todo = _own_powers(R, rows, own, x, cfg)
+    todo &= x > 0.0
+    ok = todo.copy()
+    d2p = np.zeros(x.size)
+    for shrink in (1.0, 0.1):   # step h, then h/10 where a +-h row is infeasible
+        h[todo] *= shrink
+        q = np.nonzero(todo)[0]
+        pp, _, ok_p = _own_powers(R, rows[q], own[q], x[q] + h[q], cfg)
+        pm, _, ok_m = _own_powers(R, rows[q], own[q], x[q] - h[q], cfg)
+        good = ok_p & ok_m
+        q = q[good]
+        d2p[q] = (pp[good] - 2.0 * p0[q] + pm[good]) / (h[q] * h[q])
+        todo[q] = False
+    ok &= ~todo
     bc = cfg.blockchain
-    rho = float(r.sum())
     am2 = bc.quad_coeff * bc.compute_coeff**2
-    fee_term = -2.0 * am2
-    if rho > 0.0:
-        fee_term += 2.0 * bc.const_coeff * (rho - float(r[i])) / rho**3
-    return -float(cfg.wpt_factors[i]) * d2p + fee_term
+    rho = rho[ok]
+    rho3 = np.array([v**3 for v in rho.tolist()])   # Python's pow; numpy's cube differs
+    fee_term = -2.0 * am2 + 2.0 * bc.const_coeff * (rho - x[ok]) / rho3
+    d2u = np.full(x.size, np.nan)
+    d2u[ok] = -cfg.wpt_factors[own[ok]] * d2p[ok] + fee_term
+    return d2u.reshape(k, m), ok.reshape(k, m), h.reshape(k, m)
+
+
+def _own_powers(R, rows, own, x, cfg: GameConfig):
+    """p_i, total rate and feasibility of each profile R[rows[q]] with its
+    entry i = own[q] set to x[q], inverted in stacks of at most _STACK_SIZE rates."""
+    p, total, ok = np.empty(x.size), np.empty(x.size), np.empty(x.size, dtype=bool)
+    step = max(1, _STACK_SIZE // R.shape[1])
+    for s in range(0, x.size, step):
+        q = np.arange(s, min(s + step, x.size))
+        Q = R[rows[q]]
+        Q[q - s, own[q]] = x[q]
+        *_, P, ok[q] = _invert(Q, cfg)
+        p[q], total[q] = P[q - s, own[q]], Q.sum(axis=1)
+    return p, total, ok
 
 
 def _with_entry(r: np.ndarray, i: int, value: float) -> np.ndarray:

@@ -1,9 +1,13 @@
 """Brute-force reference implementations used by tests and certification.
 
-Everything here trades speed for independence: `scalar_rate` re-derives the
-rate map with plain scalar arithmetic and shares no helpers with the
-vectorized implementation, and the grid searches certify optimality by
-exhaustive evaluation rather than by trusting the solver's line search.
+The oracle stays independent of the solver's search: `scalar_rate`
+re-derives the rate map with plain scalar arithmetic and shares no helpers
+with the vectorized implementation, `_upper_bound` finds the feasible
+interval by catching the utility's exceptions, and the grid searches certify
+optimality by exhaustive evaluation rather than by trusting the solver's line
+search.  Each grid row is evaluated by one stacked `model._utility_along`
+call; exact tests pin those values to one scalar `utility_rate_space` call
+per grid point.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import math
 import numpy as np
 
 from .equilibrium import EmptyFeasibleInterval
-from .model import GameConfig, InfeasibilityError, utility_rate_space
+from .model import GameConfig, InfeasibilityError, _utility_along, utility_rate_space
 
 
 def scalar_rate(i: int, powers, cfg: GameConfig) -> float:
@@ -72,6 +76,13 @@ def _upper_bound(i: int, r: np.ndarray, cfg: GameConfig, min_rate: float) -> flo
     return lo
 
 
+def _grid_utilities(i: int, r: np.ndarray, cfg: GameConfig, grid_points: int,
+                    min_rate: float):
+    """Sensor i's uniform own-rate grid on its feasible interval, and the utilities."""
+    grid = np.linspace(min_rate, _upper_bound(i, r, cfg, min_rate), grid_points)
+    return grid, _utility_along(i, r, grid, cfg)
+
+
 def grid_best_response(
     i: int,
     r_others,
@@ -86,16 +97,9 @@ def grid_best_response(
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
-    others = np.asarray(r_others, dtype=float)
-    r = np.insert(others, i, min_rate)
-    hi = _upper_bound(i, r, cfg, min_rate)
-    best_x, best_u = min_rate, -math.inf
-    for x in np.linspace(min_rate, hi, grid_points):
-        r[i] = x
-        u = utility_rate_space(i, r, cfg)
-        if u > best_u:
-            best_x, best_u = float(x), u
-    return best_x
+    r = np.insert(np.asarray(r_others, dtype=float), i, min_rate)
+    grid, values = _grid_utilities(i, r, cfg, grid_points, min_rate)
+    return float(grid[np.argmax(values)])      # the first maximum
 
 
 def grid_certify_ne(
@@ -113,17 +117,8 @@ def grid_certify_ne(
         raise ValueError("grid_points must be >= 2")
     r_star = np.asarray(r_star, dtype=float)
     worst = -math.inf
-    r = r_star.copy()
     for i in range(cfg.n_sensors):
         current = utility_rate_space(i, r_star, cfg)
-        hi = _upper_bound(i, r, cfg, min_rate)
-        r[i] = r_star[i]
-        best = -math.inf
-        for x in np.linspace(min_rate, hi, grid_points):
-            r[i] = x
-            u = utility_rate_space(i, r, cfg)
-            if u > best:
-                best = u
-        r[i] = r_star[i]
-        worst = max(worst, best - current)
+        _, values = _grid_utilities(i, r_star.copy(), cfg, grid_points, min_rate)
+        worst = max(worst, float(values.max()) - current)
     return worst

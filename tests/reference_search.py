@@ -1,10 +1,12 @@
-"""Reference copies of the rate inversion and the exception-driven searches.
+"""Reference copies of the rate inversion, the searches and the certifiers.
 
 `reference_invert` is the literal inversion arithmetic; the searches below
 are built only on the public `invert_rates`, `utility_rate_space` and
 `gradient_all`, probe feasibility by catching their exceptions, and evaluate
-every grid point one profile at a time.  The solver's kernel-based,
-stacked search must match them bit for bit: tests compare with `==`.
+every grid point one profile at a time.  The same holds for the scalar
+copies of the grid oracle, of the finite-difference second derivative and of
+the existence check's sampling loop.  The kernel-based, stacked code must
+match them bit for bit: tests compare with `==`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,14 @@ import math
 
 import numpy as np
 
-from crowdgame.equilibrium import _COARSE_GRID, _GOLDEN_WIDTH, EmptyFeasibleInterval, _golden_max
+from crowdgame import oracle
+from crowdgame.equilibrium import (
+    _COARSE_GRID,
+    _GOLDEN_WIDTH,
+    EmptyFeasibleInterval,
+    _golden_max,
+    _halton,
+)
 from crowdgame.model import (
     LN2,
     InfeasibilityError,
@@ -138,3 +147,109 @@ def verify_worst_gain(r_star, cfg, grid_points: int, min_rate: float) -> float:
         r[i] = r_star[i]
         worst = max(worst, u_best - base)
     return worst
+
+
+def grid_best_response(i: int, r_others, cfg, grid_points: int,
+                       min_rate: float = 0.1) -> float:
+    others = np.asarray(r_others, dtype=float)
+    r = np.insert(others, i, min_rate)
+    hi = oracle._upper_bound(i, r, cfg, min_rate)
+    best_x, best_u = min_rate, -math.inf
+    for x in np.linspace(min_rate, hi, grid_points):
+        r[i] = x
+        u = utility_rate_space(i, r, cfg)
+        if u > best_u:
+            best_x, best_u = float(x), u
+    return best_x
+
+
+def grid_certify_ne(r_star, cfg, grid_points: int, min_rate: float = 0.1) -> float:
+    r_star = np.asarray(r_star, dtype=float)
+    worst = -math.inf
+    r = r_star.copy()
+    for i in range(cfg.n_sensors):
+        current = utility_rate_space(i, r_star, cfg)
+        hi = oracle._upper_bound(i, r, cfg, min_rate)
+        r[i] = r_star[i]
+        best = -math.inf
+        for x in np.linspace(min_rate, hi, grid_points):
+            r[i] = x
+            u = utility_rate_space(i, r, cfg)
+            if u > best:
+                best = u
+        r[i] = r_star[i]
+        worst = max(worst, best - current)
+    return worst
+
+
+def _with_entry(r: np.ndarray, i: int, value: float) -> np.ndarray:
+    out = r.copy()
+    out[i] = value
+    return out
+
+
+def utility_second_derivative(i: int, rates, cfg) -> float:
+    if not 0 <= i < cfg.n_sensors:
+        raise IndexError(f"sensor id {i} out of range [0, {cfg.n_sensors})")
+    r = np.asarray(rates, dtype=float)
+    if r[i] <= 0.0:
+        raise ValueError(
+            "utility_second_derivative needs a strictly interior r_i > 0"
+        )
+    h = max(1e-4, 1e-4 * float(r[i]))
+    if r[i] - h < 0.0:
+        h = 0.5 * float(r[i])
+    for attempt in range(2):
+        try:
+            p0, _ = invert_rates(r, cfg)
+            pp, _ = invert_rates(_with_entry(r, i, r[i] + h), cfg)
+            pm, _ = invert_rates(_with_entry(r, i, r[i] - h), cfg)
+            d2p = (float(pp[i]) - 2.0 * float(p0[i]) + float(pm[i])) / (h * h)
+            break
+        except InfeasibilityError:
+            if attempt == 1:
+                raise
+            h *= 0.1
+    bc = cfg.blockchain
+    rho = float(r.sum())
+    am2 = bc.quad_coeff * bc.compute_coeff**2
+    fee_term = -2.0 * am2
+    if rho > 0.0:
+        fee_term += 2.0 * bc.const_coeff * (rho - float(r[i])) / rho**3
+    return -float(cfg.wpt_factors[i]) * d2p + fee_term
+
+
+def check_existence_sampling(cfg, region, samples: int):
+    """(value, sensor, rates, evaluated, skipped) of the sampling loop."""
+    n = cfg.n_sensors
+    lower = np.broadcast_to(np.asarray(region[0], dtype=float), (n,)).copy()
+    upper = np.broadcast_to(np.asarray(region[1], dtype=float), (n,)).copy()
+    invert_rates(lower, cfg)
+    worst_value = -math.inf
+    worst_sensor = -1
+    worst_point = lower.copy()
+    evaluated = 0
+    skipped = 0
+    for k in range(200 * samples):
+        if evaluated >= samples:
+            break
+        if k % 256 == 0:
+            batch = lower + _halton(k, 256, n) * (upper - lower)
+        point = batch[k % 256]
+        try:
+            values = [utility_second_derivative(i, point, cfg) for i in range(n)]
+        except InfeasibilityError:
+            skipped += 1
+            continue
+        evaluated += 1
+        j = int(np.argmax(values))
+        if values[j] > worst_value:
+            worst_value = values[j]
+            worst_sensor = j
+            worst_point = point.copy()
+    if evaluated < samples:
+        raise RuntimeError(
+            f"could only evaluate {evaluated}/{samples} points in the region; "
+            "almost all of it is infeasible"
+        )
+    return worst_value, worst_sensor, worst_point, evaluated, skipped

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,24 @@ def test_solve_result_accounting(sec4_cfg, sec4_solution):
     )
     assert res.trace.shape[1] == 10
     assert np.array_equal(res.trace[0], np.full(10, 0.2))
+
+
+def _tiled(cfg, n):
+    return replace(cfg, sensors=[cfg.sensors[i % cfg.n_sensors] for i in range(n)])
+
+
+def test_default_start_falls_back_to_an_equal_load_share(sec4_cfg):
+    for n in (15, 20):      # the uniform start min_rate + 0.1 is infeasible
+        cfg = _tiled(sec4_cfg, n)
+        with pytest.raises(InfeasibleRates):
+            invert_rates(np.full(n, 0.2), cfg)
+        res = solve(cfg)
+        assert res.converged
+        share = -cfg.bandwidths * np.log2(1 - 0.5 / n)     # rate of load 0.5/n
+        assert np.array_equal(res.trace[0], np.maximum(share, 0.1))
+    # 40 sensors at min_rate 0.1 already load T = 1.36: nothing is feasible
+    with pytest.raises(InfeasibleRates):
+        solve(_tiled(sec4_cfg, 40))
 
 
 def test_solve_custom_init(sec4_cfg, sec4_solution):

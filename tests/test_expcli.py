@@ -325,6 +325,22 @@ def test_bad_solver_option_exit_code(tmp_path):
     )
 
 
+def test_text_reports_go_to_out_and_stdout(tmp_path, capsys):
+    cfg_path = write_doc(tmp_path, SINGLE_DOC)
+    for cmd in (["check", "--samples", "5"], ["verify", "--grid-points", "200"]):
+        out = tmp_path / f"{cmd[0]}.txt"
+        assert main([cmd[0], "--config", cfg_path, "--out", str(out), *cmd[1:]]) == EXIT_OK
+        assert out.read_text() == capsys.readouterr().out
+        assert out.read_text().count("\n") in (4, 5)
+
+
+def test_check_rejects_an_infinite_region(tmp_path, capsys):
+    cfg_path = write_doc(tmp_path, SINGLE_DOC)
+    code = main(["check", "--config", cfg_path, "--region-high", "inf"])
+    assert code == EXIT_CONFIG
+    assert "region must be finite" in capsys.readouterr().err
+
+
 def test_verify_command(tmp_path, capsys):
     cfg_path = write_doc(tmp_path, SINGLE_DOC)
     code = main(

@@ -12,22 +12,26 @@ import pytest
 
 import reference_search as ref
 from conftest import make_config, make_sensor
-from crowdgame import equilibrium
+from crowdgame import equilibrium, model, oracle
 from crowdgame.equilibrium import (
     _best_response_full,
     _halton,
     _profile_feasible,
+    check_existence,
     rate_upper_bound,
     solve,
     verify_epsilon_ne,
 )
 from crowdgame.model import (
+    BlockchainParams,
     InfeasibleRates,
     PowerBoundExceeded,
     _invert,
+    _second_derivatives,
     _utility,
     _utility_along,
     invert_rates,
+    utility_second_derivative,
 )
 
 
@@ -87,7 +91,6 @@ def test_kernel_rows_match_single_profiles(sec4_cfg):
         if p_k is not None:
             assert beta_sum[k] == beta_sum_k
             assert np.array_equal(P[k], p_k)
-
 
 
 def test_stacked_utilities_match_single_profiles(sec4_cfg, single_interior_cfg):
@@ -188,3 +191,126 @@ def test_halton_matches_scipy():
         want = np.vstack([sampler.random(256) for _ in range(8)])
         got = np.vstack([_halton(256 * b, 256, dim) for b in range(8)])
         assert np.array_equal(got, want)
+
+
+def _outcome(f, *args):
+    """f's value, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as e:      # compared by type and message below
+        return type(e), str(e)
+
+
+def test_stacked_calls_stay_within_the_stack_size(sec4_cfg, monkeypatch):
+    sizes = []
+
+    def recording(R, cfg, *args):
+        if R.ndim == 2:
+            sizes.append(R.size)
+        return _invert(R, cfg, *args)
+
+    monkeypatch.setattr(model, "_invert", recording)
+    r = np.full(10, 0.2)
+    grid = np.linspace(0.1, rate_upper_bound(3, r, sec4_cfg), 10_000)
+    _utility_along(3, r, grid, sec4_cfg)        # the verify grid: 10^5 rates
+    assert sizes and max(sizes) <= model._STACK_SIZE
+    R = 0.1 + 0.2 * _halton(0, 40, 10)
+    want_u = _utility_along(3, r, grid[:37], sec4_cfg)
+    want_d2 = _second_derivatives(R, sec4_cfg, np.arange(10))
+    monkeypatch.setattr(model, "_STACK_SIZE", 50)
+    sizes.clear()
+    assert np.array_equal(_utility_along(3, r, grid[:37], sec4_cfg), want_u)
+    got_d2 = _second_derivatives(R, sec4_cfg, np.arange(10))
+    assert len(sizes) > 10 and max(sizes) <= 50
+    for got, want in zip(got_d2, want_d2):
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_grid_oracle_matches_scalar_reference(sec4_cfg):
+    res = solve(sec4_cfg)
+    for r, points in ((res.rates, 2000), (res.rates * 0.97, 301)):
+        assert oracle.grid_certify_ne(r, sec4_cfg, points) == ref.grid_certify_ne(
+            r, sec4_cfg, points
+        )
+    compared = 0
+    for cfg, r, min_rate in _search_cases(sec4_cfg)[::3]:
+        assert _outcome(oracle.grid_certify_ne, r, cfg, 200, min_rate) == _outcome(
+            ref.grid_certify_ne, r, cfg, 200, min_rate
+        )
+        for i in range(cfg.n_sensors):
+            others = np.delete(r, i)
+            got = _outcome(oracle.grid_best_response, i, others, cfg, 150, min_rate)
+            assert got == _outcome(ref.grid_best_response, i, others, cfg, 150, min_rate)
+            compared += isinstance(got, float)
+    assert compared >= 30
+
+
+def test_grid_oracle_raises_like_the_reference_on_an_infeasible_point(
+    sec4_cfg, monkeypatch
+):
+    bound = oracle._upper_bound
+    monkeypatch.setattr(
+        oracle, "_upper_bound", lambda i, r, cfg, m: 1.05 * bound(i, r, cfg, m)
+    )
+    for cfg, r in ((sec4_cfg, np.full(10, 0.12)), (sec4_cfg, np.full(10, 0.01))):
+        for grid_points in (100, 1000):
+            got = _outcome(oracle.grid_certify_ne, r, cfg, grid_points, 0.0)
+            want = _outcome(ref.grid_certify_ne, r, cfg, grid_points, 0.0)
+            assert got == want and got[0] in (InfeasibleRates, PowerBoundExceeded)
+            others = np.delete(r, 4)
+            got = _outcome(oracle.grid_best_response, 4, others, cfg, grid_points)
+            assert got == _outcome(ref.grid_best_response, 4, others, cfg, grid_points)
+            assert got[0] in (InfeasibleRates, PowerBoundExceeded)
+
+
+def _report_tuple(report):
+    d = report.details
+    return d.value, d.sensor, d.rates.tolist(), d.evaluated, d.skipped
+
+
+def test_check_existence_matches_scalar_reference(sec4_cfg, single_interior_cfg):
+    flip = make_config(
+        [make_sensor(), make_sensor(bandwidth=2.0)],
+        blockchain=BlockchainParams(0.0, 0.1, 0.1, 1.0),
+    )
+    cases = [
+        (sec4_cfg, (0.1, 0.5), 1000),       # the `check` command: 757 skipped
+        (single_interior_cfg, (0.1, 0.5), 50),
+        (flip, (0.1, 0.4), 30),
+        (sec4_cfg, (0.05, 0.9), 40),        # heavy skipping, many batches
+        (sec4_cfg, (0.3, 0.6), 3),          # runs out of points
+        (sec4_cfg, (0.0, 0.5), 10),         # a zero rate at the first point
+        (sec4_cfg, (0.3, 0.3), 5),
+    ]
+    for cfg, region, samples in cases:
+        want = _outcome(ref.check_existence_sampling, cfg, region, samples)
+        got = _outcome(check_existence, cfg, region, samples)
+        if isinstance(want, tuple) and isinstance(want[0], type):
+            assert got == want
+        else:
+            got = _report_tuple(got)
+            assert got[:2] == want[:2] and got[3:] == want[3:]
+            assert got[2] == want[2].tolist()
+    report = check_existence(sec4_cfg, (0.1, 0.5), 1000)
+    assert (report.details.evaluated, report.details.skipped) == (1000, 757)
+
+
+def test_second_derivative_matches_scalar_reference(sec4_cfg):
+    rng = np.random.default_rng(15)
+    profiles = _boundary_profiles(sec4_cfg, rng, 40)
+    # steps that leave the region at h and come back at h/10, or never do
+    for k, i in enumerate(rng.integers(0, 10, size=40)):
+        r = rng.uniform(0.05, 0.2, size=10)
+        hi = rate_upper_bound(i, r, sec4_cfg, 0.0)
+        r[i] = hi - (0.5e-4 if k % 2 else 1e-7) * max(1.0, hi)
+        profiles.append(r)
+    profiles += [np.r_[0.0, np.full(9, 0.1)], np.r_[np.nan, np.full(9, 0.1)]]
+    seen = set()
+    for r in profiles:
+        for i in range(10):
+            want = _outcome(ref.utility_second_derivative, i, r, sec4_cfg)
+            assert _outcome(utility_second_derivative, i, r, sec4_cfg) == want
+            seen.add(want[0] if isinstance(want, tuple) else float)
+    assert seen == {float, InfeasibleRates, PowerBoundExceeded, ValueError}
+    with pytest.raises(ValueError, match="finite"):    # the copy warns here
+        utility_second_derivative(0, np.r_[0.1, np.full(9, np.inf)], sec4_cfg)

@@ -10,6 +10,7 @@ from crowdgame.model import (
     PowerBoundExceeded,
     blockchain_power,
     forward_rates,
+    gradient_all,
     invert_rates,
     transaction_fee,
     utility_gradient,
@@ -133,6 +134,18 @@ def test_invert_matches_forward_example(single_cfg):
 def test_invert_rejects_infeasible_load(sec4_cfg):
     with pytest.raises(InfeasibleRates):
         invert_rates(np.full(10, 0.5), sec4_cfg)
+
+
+def test_gradient_and_inversion_share_the_feasibility_margin(sec4_cfg):
+    # load 1 - 5e-10 lies between the margin's edge 1 - 1e-9 and 1
+    t = (1.0 - 5e-10) / 10.0
+    r = -sec4_cfg.bandwidths * np.log2(1.0 - t)
+    with pytest.raises(InfeasibleRates) as inv:
+        invert_rates(r, sec4_cfg)
+    with pytest.raises(InfeasibleRates) as grad:
+        gradient_all(r, sec4_cfg)
+    for e in (inv, grad):
+        assert 1.0 - 1e-9 < e.value.load < 1.0
 
 
 def test_invert_rejects_negative_rates(sec4_cfg):
