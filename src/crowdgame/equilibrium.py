@@ -10,13 +10,14 @@ On interference-limited instances the equilibrium sits in a thin boundary
 layer of the feasible rate region (the load T approaches 1), where the
 best-response map is near-singular: plain Gauss-Seidel contracts by only
 ~1e-3 per sweep, Jacobi overshoots into infeasibility, and fixed-step
-gradient ascent is unstable.  `solve` therefore runs the requested dynamics
-for a few iterations and then refines the iterate with a damped active-set
-Newton method on the joint first-order conditions, which share the fixed
-point of all three dynamics.  Convergence is always certified by applying
-the method's own update map once and checking that the iterate moves by less
-than the tolerance, so a `converged=True` result is a genuine fixed point of
-the requested dynamics.  Set refine_after=0 for the pure literal dynamics.
+gradient ascent is unstable.  `solve` therefore keeps one refinement clock:
+at iteration refine_after, at once when a dynamics step raises or overshoots
+into the infeasible region, and 50 iterations after a refinement that did not
+certify, it refines the iterate by damped active-set Newton on the joint
+first-order conditions, whose root is the fixed point of all three dynamics.
+A `converged=True` result is certified: one application of the method's own
+update map moves it by less than `tol`.  With refine_after=0 the clock never
+starts, and the pure dynamics stop at the first step that raises or overshoots.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .model import (  # noqa: F401 (bench/tracing.py rebinds utility_rate_space)
     EquilibriumResult,
     GameConfig,
     InfeasibilityError,
+    _as_profile,
     _as_rates,
     _fees_all,
     _invert,
@@ -43,7 +45,6 @@ from .model import (  # noqa: F401 (bench/tracing.py rebinds utility_rate_space)
     gradient_all,
     invert_rates,
     utility_rate_space,
-    utility_second_derivative,
 )
 
 DEFAULT_MIN_RATE = 0.1
@@ -198,6 +199,17 @@ def _golden_max(
     return best_x, best_u
 
 
+def _grid_bracket(
+    i: int, r: np.ndarray, lo: float, hi: float, points: int, cfg: GameConfig
+) -> tuple[float, float, float]:
+    """Edges of the cells around sensor i's first grid maximum, and that maximum."""
+    grid = np.linspace(lo, hi, points)
+    values = _utility_along(i, r, grid, cfg)
+    k = int(np.argmax(values))
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, points - 1)]
+    return float(a), float(b), float(values[k])
+
+
 def _best_response_full(
     i: int, rates: np.ndarray, cfg: GameConfig, min_rate: float
 ) -> float:
@@ -222,11 +234,7 @@ def _best_response_full(
         r[i] = x
         return float(gradient_all(r, cfg)[i])
 
-    grid = np.linspace(lo, hi, _COARSE_GRID)
-    values = _utility_along(i, r, grid, cfg)
-    k = int(np.argmax(values))          # first (smallest-rate) maximum on ties
-    a = float(grid[max(k - 1, 0)])
-    b = float(grid[min(k + 1, _COARSE_GRID - 1)])
+    a, b, _ = _grid_bracket(i, r, lo, hi, _COARSE_GRID, cfg)
     best_x, best_u = _golden_max(u_of, a, b)
 
     # Polish: the utility is unimodal on the bracket, so a positive gradient
@@ -328,14 +336,13 @@ def check_existence(
     n = cfg.n_sensors
     lower = np.broadcast_to(np.asarray(region[0], dtype=float), (n,)).copy()
     upper = np.broadcast_to(np.asarray(region[1], dtype=float), (n,)).copy()
-    if np.any(lower < 0) or np.any(upper < lower):
-        raise ValueError("region must satisfy 0 <= lower <= upper")
+    if np.any(lower <= 0) or np.any(upper < lower):
+        raise ValueError("region must satisfy 0 < lower <= upper")
     if not np.all(np.isfinite(upper)):
         raise ValueError("region must be finite")
     invert_rates(lower, cfg)   # raises if the whole region is infeasible
 
-    bc = cfg.blockchain
-    condition_a = bc.quad_coeff * bc.compute_coeff**2 - bc.const_coeff >= 0.0
+    condition_a = cfg.blockchain.concavity_margin >= 0.0
     condition_b = float(lower.sum()) >= 1.0
 
     # Halton points in order until `samples` are evaluated; a point is skipped
@@ -349,11 +356,6 @@ def check_existence(
         fine = ok.all(axis=1)
         used = int(np.searchsorted(np.cumsum(fine), samples - evaluated)) + 1
         batch, values, ok, fine = batch[:used], values[:used], ok[:used], fine[:used]
-        first = np.argmin(ok, axis=1)
-        zero = ~fine & (batch[np.arange(len(batch)), first] <= 0.0)
-        if zero.any():          # a zero rate is outside the domain: raise
-            k = int(np.argmax(zero))
-            utility_second_derivative(int(first[k]), batch[k], cfg)
         skipped += int((~fine).sum())
         evaluated += int(fine.sum())
         best = np.where(fine, values.max(axis=1), -math.inf)
@@ -502,6 +504,14 @@ _STEPPERS = {
 }
 
 
+def _try_step(stepper, r: np.ndarray, cfg: GameConfig, opts: SolverOptions):
+    """One update of the dynamics, or None where it cannot run from r."""
+    try:
+        return stepper(r, cfg, opts)
+    except (InfeasibilityError, EmptyFeasibleInterval):
+        return None
+
+
 def solve(cfg: GameConfig, opts: SolverOptions | None = None) -> EquilibriumResult:
     """Find the Nash equilibrium via the dynamics selected in `opts`.
 
@@ -510,8 +520,7 @@ def solve(cfg: GameConfig, opts: SolverOptions | None = None) -> EquilibriumResu
     """
     opts = opts or SolverOptions()
     n = cfg.n_sensors
-    bc = cfg.blockchain
-    if bc.quad_coeff * bc.compute_coeff**2 - bc.const_coeff < 0.0:
+    if cfg.blockchain.concavity_margin < 0.0:
         warnings.warn(
             "existence condition a*m^2 - c >= 0 fails for this config; "
             "the equilibrium search may not converge",
@@ -519,9 +528,7 @@ def solve(cfg: GameConfig, opts: SolverOptions | None = None) -> EquilibriumResu
             stacklevel=2,
         )
     if opts.init_rates is not None:
-        r = np.asarray(opts.init_rates, dtype=float).copy()
-        if r.shape != (n,):
-            raise ValueError(f"init_rates has shape {r.shape}, expected ({n},)")
+        r = _as_profile(opts.init_rates, cfg, "init_rates").copy()
     else:
         r = np.full(n, opts.min_rate + 0.1)
         if not _profile_feasible(r, cfg):
@@ -534,62 +541,46 @@ def solve(cfg: GameConfig, opts: SolverOptions | None = None) -> EquilibriumResu
     iterations = 0
     residual = math.inf
     converged = False
-    refine_enabled = opts.refine_after > 0
-    next_refine = opts.refine_after
-    refine_now = False
+    refine_at = opts.refine_after or math.inf
 
     while iterations < opts.max_iter and not converged:
-        if refine_enabled and (refine_now or iterations >= next_refine):
-            refine_now = False
-            budget = opts.max_iter - iterations
+        if iterations >= refine_at:
             refined, used, worth_verifying = _refine_newton(
-                r, cfg, opts.min_rate, max(budget - 1, 1)
+                r, cfg, opts.min_rate, max(opts.max_iter - iterations - 1, 1)
             )
             iterations += used
             if used == 0 and not worth_verifying:
                 break      # refinement cannot move from here either
-            if iterations >= opts.max_iter:
-                r = refined
-                break
-            trace.append(refined.copy())
             r = refined
+            if iterations >= opts.max_iter:
+                break
+            trace.append(r.copy())
             if worth_verifying:
-                try:
-                    check = stepper(r, cfg, opts)
-                    delta = float(np.max(np.abs(check - r)))
-                except (InfeasibilityError, EmptyFeasibleInterval):
-                    delta = math.inf
+                check = _try_step(stepper, r, cfg, opts)
                 iterations += 1
-                residual = delta
-                if delta < opts.tol:
-                    converged = True
-                    break
-                if not math.isfinite(delta):
+                residual = (
+                    math.inf if check is None else float(np.max(np.abs(check - r)))
+                )
+                converged = residual < opts.tol
+                if not math.isfinite(residual):
                     break      # the literal map cannot run even here; stop
-            next_refine = iterations + _REFINE_RETRY
+            refine_at = iterations + _REFINE_RETRY
             continue
 
-        try:
-            r_new = stepper(r, cfg, opts)
-        except (InfeasibilityError, EmptyFeasibleInterval):
-            if refine_enabled:
-                refine_now = True
+        r_new = _try_step(stepper, r, cfg, opts)
+        if r_new is not None:
+            iterations += 1
+            residual = float(np.max(np.abs(r_new - r)))
+            trace.append(r_new.copy())
+            if _profile_feasible(r_new, cfg):
+                r = r_new
+                converged = residual < opts.tol
                 continue
+        # the step raised or overshot into the infeasible region (the last
+        # feasible iterate stays the state): refine, or stop the pure dynamics
+        if refine_at == math.inf:
             break
-        iterations += 1
-        residual = float(np.max(np.abs(r_new - r)))
-        trace.append(r_new.copy())
-        if _profile_feasible(r_new, cfg):
-            r = r_new
-            if residual < opts.tol:
-                converged = True
-        else:
-            # a simultaneous update overshot into the infeasible region;
-            # keep the last feasible iterate as the state
-            if refine_enabled:
-                refine_now = True
-            else:
-                break
+        refine_at = iterations
 
     powers, _ = invert_rates(r, cfg)
     utilities = _utilities_all(r, cfg, powers)
@@ -633,18 +624,13 @@ def verify_epsilon_ne(
     r = r_star.copy()
     for i in range(cfg.n_sensors):
         hi = rate_upper_bound(i, r_star, cfg, min_rate)
-        grid = np.linspace(min_rate, hi, grid_points)
 
         def u_of(x: float) -> float:
             r[i] = x
             return _utility(i, r, cfg)
 
-        values = _utility_along(i, r, grid, cfg)
-        k = int(np.argmax(values))
-        a = float(grid[max(k - 1, 0)])
-        b = float(grid[min(k + 1, grid_points - 1)])
-        _, u_best = _golden_max(u_of, a, b)
-        u_best = max(u_best, float(values[k]))
+        a, b, u_grid = _grid_bracket(i, r, min_rate, hi, grid_points, cfg)
+        u_best = max(_golden_max(u_of, a, b)[1], u_grid)
         r[i] = r_star[i]
         worst = max(worst, u_best - float(base[i]))
     return worst <= epsilon, worst

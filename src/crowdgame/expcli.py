@@ -25,7 +25,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -361,11 +361,9 @@ def run_check(spec: ExperimentSpec) -> int:
     """Print the equilibrium-existence report."""
     cfg = load_config(spec.config_path)
     report = equilibrium.check_existence(cfg, spec.region, spec.samples)
-    bc = cfg.blockchain
-    margin = bc.quad_coeff * bc.compute_coeff**2 - bc.const_coeff
     lines = [
         f"condition_a (a*m^2 - c >= 0): {report.condition_a} "
-        f"(a*m^2 - c = {_fmt(margin)})",
+        f"(a*m^2 - c = {_fmt(cfg.blockchain.concavity_margin)})",
         f"condition_b (total rate >= 1 at region lower corner): "
         f"{report.condition_b}",
         f"numeric_concavity: {report.numeric_concavity} "
@@ -424,84 +422,65 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser):
-        p.add_argument("--config", required=True, help="game config document")
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument(
-            "--method",
-            default="gauss_seidel_br",
-            choices=equilibrium._METHODS,
-        )
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--max-iter", type=int, default=10_000)
-        p.add_argument("--min-rate", type=float, default=equilibrium.DEFAULT_MIN_RATE)
-        p.add_argument("--step-size", type=float, default=1e-3)
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        # absent flags stay unset: SolverOptions and ExperimentSpec hold the defaults
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", dest="config_path", metavar="CONFIG",
+                       required=True, help="game config document")
+        p.add_argument("--out", dest="output_path", metavar="OUT",
+                       help="output file (default stdout)")
+        p.add_argument("--method", choices=equilibrium._METHODS)
+        p.add_argument("--tol", type=float)
+        p.add_argument("--max-iter", type=int)
+        p.add_argument("--min-rate", type=float)
+        p.add_argument("--step-size", type=float)
         p.add_argument(
             "--refine-after",
             type=int,
-            default=10,
             help="dynamics iterations before Newton refinement (0 disables)",
         )
+        return p
 
-    common(sub.add_parser("solve", help="solve one instance"))
+    command("solve", "solve one instance")
 
-    p = sub.add_parser("sweep", help="re-solve over a parameter list")
-    common(p)
+    p = command("sweep", "re-solve over a parameter list")
     p.add_argument("--sweep-param", required=True, help="e.g. blockchain.compute_coeff")
     p.add_argument("--sweep-values", required=True, help="comma-separated values")
 
-    p = sub.add_parser("br-curve", help="tabulate one sensor's utility curve")
-    common(p)
-    p.add_argument("--sensor", type=int, required=True, help="sensor id (1-based)")
-    p.add_argument("--points", type=int, default=512)
+    p = command("br-curve", "tabulate one sensor's utility curve")
+    p.add_argument("--sensor", dest="curve_sensor", metavar="SENSOR", type=int,
+                   required=True, help="sensor id (1-based)")
+    p.add_argument("--points", dest="curve_points", metavar="POINTS", type=int)
 
-    p = sub.add_parser("verify", help="solve and certify an epsilon-NE")
-    common(p)
-    p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--grid-points", type=int, default=10_000)
+    p = command("verify", "solve and certify an epsilon-NE")
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--grid-points", type=int)
 
-    p = sub.add_parser("check", help="equilibrium existence report")
-    common(p)
-    p.add_argument("--region-low", type=float, default=equilibrium.DEFAULT_MIN_RATE)
-    p.add_argument("--region-high", type=float, default=0.5)
-    p.add_argument("--samples", type=int, default=1000)
+    p = command("check", "equilibrium existence report")
+    p.add_argument("--region-low", type=float)
+    p.add_argument("--region-high", type=float)
+    p.add_argument("--samples", type=int)
     return parser
 
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
+    kwargs = dict(vars(args))
     solver = SolverOptions(
-        method=args.method,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        min_rate=args.min_rate,
-        step_size=args.step_size,
-        refine_after=args.refine_after,
+        **{f.name: kwargs.pop(f.name) for f in fields(SolverOptions) if f.name in kwargs}
     )
-    kwargs = dict(
-        config_path=args.config,
-        command=args.command,
-        solver=solver,
-        output_path=args.out,
-    )
-    if args.command == "sweep":
-        values = [v for v in args.sweep_values.split(",") if v.strip()]
+    if "sweep_values" in kwargs:
+        values = [v for v in kwargs["sweep_values"].split(",") if v.strip()]
         if not values:
             raise ConfigError("sweep value list is empty")
         try:
             kwargs["sweep_values"] = [float(v) for v in values]
         except ValueError as e:
             raise ConfigError(f"bad sweep value: {e}") from e
-        kwargs["sweep_param"] = args.sweep_param
-    elif args.command == "br-curve":
-        kwargs["curve_sensor"] = args.sensor - 1
-        kwargs["curve_points"] = args.points
-    elif args.command == "verify":
-        kwargs["epsilon"] = args.epsilon
-        kwargs["grid_points"] = args.grid_points
-    elif args.command == "check":
-        kwargs["region"] = (args.region_low, args.region_high)
-        kwargs["samples"] = args.samples
-    return ExperimentSpec(**kwargs)
+    if "curve_sensor" in kwargs:
+        kwargs["curve_sensor"] -= 1
+    low, high = ExperimentSpec.region
+    kwargs["region"] = (kwargs.pop("region_low", low), kwargs.pop("region_high", high))
+    return ExperimentSpec(solver=solver, **kwargs)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -132,6 +132,11 @@ class BlockchainParams:
             _require(v >= 0, name, "must be >= 0")
         _require(self.compute_coeff > 0, "compute_coeff", "must be > 0")
 
+    @property
+    def concavity_margin(self) -> float:
+        """a*m^2 - c; the game is concave in each own rate when it is >= 0."""
+        return self.quad_coeff * self.compute_coeff**2 - self.const_coeff
+
 
 @dataclass
 class GameConfig:

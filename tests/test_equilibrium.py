@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -291,6 +292,46 @@ def test_pure_gradient_ascent_reports(sec4_cfg):
     )
     assert not res.converged
     invert_rates(res.rates, sec4_cfg)
+
+
+@pytest.mark.parametrize(
+    "options, expected",
+    [
+        # the pure dynamics stop at their first overshoot (step 1 and step 7)
+        (dict(method="jacobi_br", refine_after=0, max_iter=50), (1, 2, False)),
+        (dict(method="gradient_ascent", refine_after=0, max_iter=50), (7, 8, False)),
+        # an overshoot starts the refinement at once; it certifies
+        (dict(method="jacobi_br", max_iter=60), (12, 3, True)),
+        # the budget runs out inside the refinement
+        (dict(refine_after=3, max_iter=4), (4, 4, False)),
+        # 10 steps, a refinement that spends all but one iteration of the
+        # budget without certifying, then one more step
+        (dict(max_iter=40, min_rate=0.01), (40, 13, False)),
+    ],
+)
+def test_solve_stop_accounting(sec4_cfg, options, expected):
+    res = solve(sec4_cfg, SolverOptions(**options))
+    assert (res.iterations, len(res.trace), res.converged) == expected
+
+
+@pytest.mark.parametrize("refine_after", [0, 10])
+@pytest.mark.parametrize("method", ["gauss_seidel_br", "jacobi_br", "gradient_ascent"])
+def test_solve_stops_where_neither_dynamics_nor_refinement_can_start(
+    sec4_cfg, method, refine_after
+):
+    # sensor 0 at 0, the others just under the load limit: raising sensor 0
+    # to min_rate 0.1 is infeasible, so the first step raises and the
+    # refinement, which starts from the profile floored at min_rate, cannot
+    start = np.full(10, 0.335)
+    start[0] = 0.0
+    assert 0.98 < invert_rates(start, sec4_cfg)[1].load < 1.0
+    with pytest.raises(EmptyFeasibleInterval):
+        rate_upper_bound(0, start, sec4_cfg)
+    opts = SolverOptions(method=method, refine_after=refine_after, init_rates=start)
+    res = solve(sec4_cfg, opts)
+    assert (res.iterations, len(res.trace), res.converged) == (0, 1, False)
+    assert res.residual == math.inf
+    assert np.array_equal(res.rates, start)
 
 
 @pytest.mark.parametrize("method", ["gauss_seidel_br", "jacobi_br", "gradient_ascent"])

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -341,6 +342,13 @@ def test_check_rejects_an_infinite_region(tmp_path, capsys):
     assert "region must be finite" in capsys.readouterr().err
 
 
+def test_check_rejects_a_zero_region_low(capsys):
+    code = main(["check", "--config", str(SEC4_CONFIG_PATH), "--region-low", "0"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: region must satisfy 0 < lower <= upper\n"
+
+
 def test_verify_command(tmp_path, capsys):
     cfg_path = write_doc(tmp_path, SINGLE_DOC)
     code = main(
@@ -384,3 +392,89 @@ def test_nonconvergence_exit_code(tmp_path):
     )
     assert code == EXIT_NONCONVERGENCE
     assert "converged=false" in out.read_text()
+
+
+# ---------------------------------------------------------------------------
+# one set of defaults
+# ---------------------------------------------------------------------------
+
+REQUIRED_FLAGS = {
+    "solve": ([], {}),
+    "sweep": (
+        ["--sweep-param", "power_price", "--sweep-values", "0.01,0.02"],
+        dict(sweep_param="power_price", sweep_values=[0.01, 0.02]),
+    ),
+    "br-curve": (["--sensor", "2"], dict(curve_sensor=1)),
+    "verify": ([], {}),
+    "check": ([], {}),
+}
+
+
+def _spec(argv):
+    return expcli._spec_from_args(expcli._build_parser().parse_args(argv))
+
+
+def test_cli_defaults_are_the_dataclass_defaults():
+    for command, (flags, fields) in REQUIRED_FLAGS.items():
+        spec = _spec([command, "--config", "game.cfg", *flags])
+        assert spec == ExperimentSpec(config_path="game.cfg", command=command, **fields)
+    spec = _spec(["check", "--config", "game.cfg", "--region-low", "0.2"])
+    assert spec.region == (0.2, 0.5)
+    spec = _spec(["br-curve", "--config", "game.cfg", "--sensor", "1", "--points", "9"])
+    assert spec.curve_points == 9
+
+
+def _reference_parser():
+    """The CLI as plain argparse flags with their own names, for --help text."""
+    parser = argparse.ArgumentParser(
+        prog="crowdgame",
+        description="Equilibrium experiments for the sensor data-trading game",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    extra = {
+        "solve": ("solve one instance", []),
+        "sweep": ("re-solve over a parameter list", [
+            ("--sweep-param", dict(required=True, help="e.g. blockchain.compute_coeff")),
+            ("--sweep-values", dict(required=True, help="comma-separated values")),
+        ]),
+        "br-curve": ("tabulate one sensor's utility curve", [
+            ("--sensor", dict(type=int, required=True, help="sensor id (1-based)")),
+            ("--points", dict(type=int)),
+        ]),
+        "verify": ("solve and certify an epsilon-NE", [
+            ("--epsilon", dict(type=float)),
+            ("--grid-points", dict(type=int)),
+        ]),
+        "check": ("equilibrium existence report", [
+            ("--region-low", dict(type=float)),
+            ("--region-high", dict(type=float)),
+            ("--samples", dict(type=int)),
+        ]),
+    }
+    for name, (summary, flags) in extra.items():
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", required=True, help="game config document")
+        p.add_argument("--out", help="output file (default stdout)")
+        p.add_argument("--method",
+                       choices=("gauss_seidel_br", "jacobi_br", "gradient_ascent"))
+        for flag in ("--tol", "--max-iter", "--min-rate", "--step-size"):
+            p.add_argument(flag)
+        p.add_argument("--refine-after",
+                       help="dynamics iterations before Newton refinement (0 disables)")
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+    return parser
+
+
+def _help_text(parser, argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        parser.parse_args(argv)
+    assert stop.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_cli_help_is_unchanged_by_the_suppressed_defaults(capsys):
+    reference = _reference_parser()
+    for argv in [["--help"]] + [[command, "--help"] for command in REQUIRED_FLAGS]:
+        want = _help_text(reference, argv, capsys)
+        assert _help_text(expcli._build_parser(), argv, capsys) == want

@@ -279,7 +279,6 @@ def test_check_existence_matches_scalar_reference(sec4_cfg, single_interior_cfg)
         (flip, (0.1, 0.4), 30),
         (sec4_cfg, (0.05, 0.9), 40),        # heavy skipping, many batches
         (sec4_cfg, (0.3, 0.6), 3),          # runs out of points
-        (sec4_cfg, (0.0, 0.5), 10),         # a zero rate at the first point
         (sec4_cfg, (0.3, 0.3), 5),
     ]
     for cfg, region, samples in cases:
@@ -293,6 +292,9 @@ def test_check_existence_matches_scalar_reference(sec4_cfg, single_interior_cfg)
             assert got[2] == want[2].tolist()
     report = check_existence(sec4_cfg, (0.1, 0.5), 1000)
     assert (report.details.evaluated, report.details.skipped) == (1000, 757)
+    # a zero lower corner is rejected at the edge, before any sampling
+    with pytest.raises(ValueError, match=r"region must satisfy 0 < lower <= upper"):
+        check_existence(sec4_cfg, (0.0, 0.5), 10)
 
 
 def test_second_derivative_matches_scalar_reference(sec4_cfg):
