@@ -18,6 +18,12 @@ first-order conditions, whose root is the fixed point of all three dynamics.
 A `converged=True` result is certified: one application of the method's own
 update map moves it by less than `tol`.  With refine_after=0 the clock never
 starts, and the pure dynamics stop at the first step that raises or overshoots.
+
+`rate_upper_bound` replays its doubling and bisection search against x < x_hat,
+a closed-form estimate of the feasible interval's end, then probes the kernel
+at the largest rate judged feasible and the smallest judged infeasible.  The
+kernel is monotone in each rate, so if both verdicts hold, every replayed
+decision is the literal search's; otherwise the search reruns on real probes.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .model import (  # noqa: F401 (bench/tracing.py rebinds utility_rate_space)
+    DEFAULT_FEASIBILITY_MARGIN,
     LN2,
     EquilibriumResult,
     GameConfig,
@@ -37,11 +44,13 @@ from .model import (  # noqa: F401 (bench/tracing.py rebinds utility_rate_space)
     _as_profile,
     _as_rates,
     _fees_all,
+    _gradient,
     _invert,
     _second_derivatives,
     _utilities_all,
     _utility,
     _utility_along,
+    _with_entry,
     gradient_all,
     invert_rates,
     utility_rate_space,
@@ -132,13 +141,50 @@ def _profile_feasible(r: np.ndarray, cfg: GameConfig) -> bool:
     return _invert(r, cfg)[4]
 
 
+def _interval_search(feasible: Callable[[float], bool], min_rate: float):
+    """rate_upper_bound's search, deciding by `feasible`: the largest rate judged
+    feasible or None, and the smallest judged infeasible or inf (none found)."""
+    if not feasible(min_rate):
+        return None, min_rate
+    lo, hi = min_rate, max(1.0, 2.0 * min_rate)
+    for _ in range(200):
+        if not feasible(hi):
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        return lo, math.inf
+    while hi - lo > 1e-12 * max(1.0, lo):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _rate_limit_estimate(i: int, r: np.ndarray, cfg: GameConfig) -> float:
+    """Closed-form x_hat of sensor i's largest feasible rate, the others at r:
+    with F = 1 - T_-i and kappa = d^alpha/g, the least of the caps on t_i (load
+    margin F - margin, each cap F - t_k kappa_k s2/(cap_k - c_k), k = i never
+    binding, own cap (cap_i - c_i) F/(cap_i - c_i + kappa_i s2)) as a rate."""
+    t = -np.expm1(-LN2 * (r / cfg.bandwidths))
+    s2k = cfg.noise_variance * cfg.inv_gain_pathloss
+    room = cfg.power_caps - cfg.circuit_powers
+    free = 1.0 - (float(t.sum()) - float(t[i]))
+    need = np.divide(t * s2k, room, out=np.zeros_like(t), where=room > 0.0)
+    own = float(room[i] * free / (room[i] + s2k[i]))
+    t_hat = min(free - DEFAULT_FEASIBILITY_MARGIN, free - float(need.max()), own)
+    return -float(cfg.bandwidths[i]) * math.log2(1.0 - t_hat)
+
+
 def rate_upper_bound(
     i: int, rates: np.ndarray, cfg: GameConfig, min_rate: float = DEFAULT_MIN_RATE
 ) -> float:
     """Largest feasible own-rate of sensor i with the others held fixed.
 
-    Located by bisection on the boundary where invert_rates starts failing
-    (load reaching 1 or any sensor's power cap being hit).
+    The float of a doubling and bisection search for the boundary where the
+    kernel starts failing (load reaching 1 or any sensor's power cap being
+    hit), replayed against x < x_hat; see the module docstring.
 
     Raises:
         EmptyFeasibleInterval: even min_rate is infeasible against `rates`.
@@ -146,25 +192,15 @@ def rate_upper_bound(
     r = np.array(rates, dtype=float)
     r[i] = min_rate
     _as_rates(r, cfg)
-    if not _profile_feasible(r, cfg):
+    probe = lambda x: _profile_feasible(_with_entry(r, i, x), cfg)  # noqa: E731
+    x_hat = _rate_limit_estimate(i, r, cfg)
+    lo, hi = _interval_search(lambda x: x < x_hat, min_rate)
+    if not ((lo is None or probe(lo)) and hi < math.inf and not probe(hi)):
+        lo, hi = _interval_search(probe, min_rate)
+    if lo is None:
         raise EmptyFeasibleInterval(i, min_rate)
-    lo = min_rate
-    hi = max(1.0, 2.0 * min_rate)
-    for _ in range(200):
-        r[i] = hi
-        if not _profile_feasible(r, cfg):
-            break
-        lo = hi
-        hi *= 2.0
-    else:
+    if hi == math.inf:
         raise RuntimeError("no infeasible upper rate found; config degenerate")
-    while hi - lo > 1e-12 * max(1.0, lo):
-        mid = 0.5 * (lo + hi)
-        r[i] = mid
-        if _profile_feasible(r, cfg):
-            lo = mid
-        else:
-            hi = mid
     return lo
 
 
@@ -232,7 +268,7 @@ def _best_response_full(
 
     def g_of(x: float) -> float:
         r[i] = x
-        return float(gradient_all(r, cfg)[i])
+        return float(_gradient(r, cfg, i))
 
     a, b, _ = _grid_bracket(i, r, lo, hi, _COARSE_GRID, cfg)
     best_x, best_u = _golden_max(u_of, a, b)
@@ -336,7 +372,7 @@ def check_existence(
     n = cfg.n_sensors
     lower = np.broadcast_to(np.asarray(region[0], dtype=float), (n,)).copy()
     upper = np.broadcast_to(np.asarray(region[1], dtype=float), (n,)).copy()
-    if np.any(lower <= 0) or np.any(upper < lower):
+    if not (np.all(lower > 0) and np.all(upper >= lower)):    # NaN fails too
         raise ValueError("region must satisfy 0 < lower <= upper")
     if not np.all(np.isfinite(upper)):
         raise ValueError("region must be finite")

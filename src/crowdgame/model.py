@@ -449,12 +449,16 @@ def utility_gradient_analytic(i: int, rates: RateVector, cfg: GameConfig) -> flo
     (enforced by the test suite).
     """
     _check_sensor_id(i, cfg)
-    r = _as_profile(rates, cfg, "rates")
-    return float(gradient_all(r, cfg)[i])
+    return float(_gradient(_as_profile(rates, cfg, "rates"), cfg, i))
 
 
 def gradient_all(r: np.ndarray, cfg: GameConfig) -> np.ndarray:
     """Analytic gradients d u_i / d r_i for every sensor at once."""
+    return _gradient(r, cfg)
+
+
+def _gradient(r: np.ndarray, cfg: GameConfig, i=...):
+    """d u_i / d r_i of sensor i or of all; each sum runs over the whole profile."""
     x = r / cfg.bandwidths
     z = np.exp2(-x)                 # 2^(-r/b)
     t = 1.0 - z
@@ -462,22 +466,21 @@ def gradient_all(r: np.ndarray, cfg: GameConfig) -> np.ndarray:
     if load >= 1.0 - DEFAULT_FEASIBILITY_MARGIN:
         raise InfeasibleRates(load)
     eps = 1.0 - load
-    tp = (LN2 / cfg.bandwidths) * z     # dt/dr
-    dbeta = cfg.noise_variance * tp * (eps + t) / (eps * eps)
-    dpower_cost = cfg.wpt_factors * cfg.inv_gain_pathloss * dbeta
+    tp = (LN2 / cfg.bandwidths[i]) * z[i]     # dt/dr
+    dbeta = cfg.noise_variance * tp * (eps + t[i]) / (eps * eps)
+    dpower_cost = cfg.wpt_factors[i] * cfg.inv_gain_pathloss[i] * dbeta
     bc = cfg.blockchain
     rho = float(r.sum())
     am2 = bc.quad_coeff * bc.compute_coeff**2
+    dfee = 0.0
     if rho > 0.0:
         dfee = (
             am2 * rho
             + bc.lin_coeff * bc.compute_coeff
             + bc.const_coeff / rho
-            + r * (am2 - bc.const_coeff / rho**2)
+            + r[i] * (am2 - bc.const_coeff / rho**2)
         )
-    else:
-        dfee = np.zeros_like(r)
-    return cfg.rate_prices - dpower_cost - dfee
+    return cfg.rate_prices[i] - dpower_cost - dfee
 
 
 def utility_second_derivative(i: int, rates: RateVector, cfg: GameConfig) -> float:

@@ -1,9 +1,10 @@
 """Reference copies of the rate inversion, the searches and the certifiers.
 
-`reference_invert` is the literal inversion arithmetic; the searches below
-are built only on the public `invert_rates`, `utility_rate_space` and
-`gradient_all`, probe feasibility by catching their exceptions, and evaluate
-every grid point one profile at a time.  The same holds for the scalar
+`reference_invert` and `reference_gradient` are the literal inversion and
+gradient arithmetic; the searches below are built only on the public
+`invert_rates` and `utility_rate_space` and on `reference_gradient`, probe
+feasibility by catching exceptions, and evaluate every grid point one
+profile at a time.  The same holds for the scalar
 copies of the grid oracle, of the finite-difference second derivative and of
 the existence check's sampling loop.  The kernel-based, stacked code must
 match them bit for bit: tests compare with `==`.
@@ -26,7 +27,7 @@ from crowdgame.equilibrium import (
 from crowdgame.model import (
     LN2,
     InfeasibilityError,
-    gradient_all,
+    InfeasibleRates,
     invert_rates,
     utility_rate_space,
 )
@@ -48,6 +49,33 @@ def reference_invert(r: np.ndarray, cfg, margin: float = 1e-9):
     if over.size:
         return ("cap", int(over[0]), float(p[over[0]]))
     return ("ok", p, gamma, beta, beta_sum, load)
+
+
+def reference_gradient(r: np.ndarray, cfg, margin: float = 1e-9) -> np.ndarray:
+    """Every sensor's d u_i / d r_i, by the literal vector arithmetic."""
+    x = r / cfg.bandwidths
+    z = np.exp2(-x)
+    t = 1.0 - z
+    load = float(t.sum())
+    if load >= 1.0 - margin:
+        raise InfeasibleRates(load)
+    eps = 1.0 - load
+    tp = (LN2 / cfg.bandwidths) * z
+    dbeta = cfg.noise_variance * tp * (eps + t) / (eps * eps)
+    dpower_cost = cfg.wpt_factors * cfg.inv_gain_pathloss * dbeta
+    bc = cfg.blockchain
+    rho = float(r.sum())
+    am2 = bc.quad_coeff * bc.compute_coeff**2
+    if rho > 0.0:
+        dfee = (
+            am2 * rho
+            + bc.lin_coeff * bc.compute_coeff
+            + bc.const_coeff / rho
+            + r * (am2 - bc.const_coeff / rho**2)
+        )
+    else:
+        dfee = np.zeros_like(r)
+    return cfg.rate_prices - dpower_cost - dfee
 
 
 def _feasible(r: np.ndarray, cfg) -> bool:
@@ -94,7 +122,7 @@ def best_response(i: int, rates, cfg, min_rate: float) -> float:
 
     def g_of(x: float) -> float:
         r[i] = x
-        return float(gradient_all(r, cfg)[i])
+        return float(reference_gradient(r, cfg)[i])
 
     grid = np.linspace(lo, hi, _COARSE_GRID)
     values = [u_of(float(x)) for x in grid]

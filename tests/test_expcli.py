@@ -1,11 +1,12 @@
 import argparse
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
-from conftest import SEC4_CONFIG_PATH
+from conftest import REPO_ROOT, SEC4_CONFIG_PATH
 from crowdgame import expcli
 from crowdgame.expcli import (
     EXIT_CONFIG,
@@ -347,6 +348,39 @@ def test_check_rejects_a_zero_region_low(capsys):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err == "config error: region must satisfy 0 < lower <= upper\n"
+
+
+def test_check_rejects_a_nan_region_low(capsys):
+    code = main(["check", "--config", str(SEC4_CONFIG_PATH), "--region-low", "nan"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: region must satisfy 0 < lower <= upper\n"
+
+
+# The README's --out commands and the masks bench/run.py applies to solver
+# effort (iterations, residual) before comparing with bench/expected/.
+_PINNED_COMMANDS = {
+    "solve": (["solve"], [(r"iterations=\d+ residual=\S+", "iterations=* residual=*")]),
+    "sweep": (
+        ["sweep", "--sweep-param", "blockchain.compute_coeff",
+         "--sweep-values", "2.4,2.7,3.0,3.3"],
+        [(r"(?m)^([^,\n]*,[^,\n]*,)\d+,", r"\1*,")],
+    ),
+    "br-curve": (["br-curve", "--sensor", "2"], []),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PINNED_COMMANDS))
+def test_cli_answers_match_the_benchmark_expected_files(command, tmp_path):
+    argv, masks = _PINNED_COMMANDS[command]
+    out = tmp_path / f"{command}.csv"
+    code = main([argv[0], "--config", str(SEC4_CONFIG_PATH), *argv[1:], "--out", str(out)])
+    assert code == EXIT_OK
+    got = out.read_text()
+    want = (REPO_ROOT / "bench" / "expected" / f"{command}.csv").read_text()
+    for pattern, repl in masks:
+        got, want = re.sub(pattern, repl, got), re.sub(pattern, repl, want)
+    assert got == want
 
 
 def test_verify_command(tmp_path, capsys):

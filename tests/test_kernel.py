@@ -14,6 +14,7 @@ import reference_search as ref
 from conftest import make_config, make_sensor
 from crowdgame import equilibrium, model, oracle
 from crowdgame.equilibrium import (
+    SolverOptions,
     _best_response_full,
     _halton,
     _profile_feasible,
@@ -30,7 +31,9 @@ from crowdgame.model import (
     _second_derivatives,
     _utility,
     _utility_along,
+    gradient_all,
     invert_rates,
+    utility_gradient_analytic,
     utility_second_derivative,
 )
 
@@ -316,3 +319,107 @@ def test_second_derivative_matches_scalar_reference(sec4_cfg):
     assert seen == {float, InfeasibleRates, PowerBoundExceeded, ValueError}
     with pytest.raises(ValueError, match="finite"):    # the copy warns here
         utility_second_derivative(0, np.r_[0.1, np.full(9, np.inf)], sec4_cfg)
+
+
+def test_gradient_of_one_sensor_matches_the_vector_formula(sec4_cfg):
+    rng = np.random.default_rng(16)
+    cases = [(sec4_cfg, r) for r in _boundary_profiles(sec4_cfg, rng, 100)]
+    while len(cases) < 400:
+        cfg = _random_game(rng, int(rng.integers(1, 8)))
+        cases.append((cfg, rng.uniform(0.0, 0.4, size=cfg.n_sensors)))
+    cases.append((sec4_cfg, np.zeros(10)))     # a zero total rate has no fees
+    compared = 0
+    for cfg, r in cases:
+        if ref.reference_invert(r, cfg)[0] != "ok":
+            continue
+        g = gradient_all(r, cfg)
+        assert np.array_equal(g, ref.reference_gradient(r, cfg))
+        for i in range(cfg.n_sensors):
+            assert model._gradient(r, cfg, i) == g[i]
+            assert utility_gradient_analytic(i, r, cfg) == g[i]
+            compared += 1
+    assert compared >= 1000
+
+
+def _bound_outcomes(cases, bound=rate_upper_bound):
+    return [_outcome(bound, i, r, cfg, m) for cfg, r, i, m in cases]
+
+
+def _boundary_bound_cases(sec4):
+    """(cfg, rates, sensor, min_rate) on the boundary profiles: the pushed
+    sensor (its own cap or the load binds) and the next (another cap binds)."""
+    rng = np.random.default_rng(17)
+    cases = []
+    for k, r in enumerate(_boundary_profiles(sec4, rng, 400)):
+        i = (k // 2) % 10 if k < 400 else k % 10
+        for m in (0.0, 0.1):
+            cases += [(sec4, r, i, m), (sec4, r, (i + 1) % 10, m)]
+    return cases
+
+
+def test_rate_upper_bound_replay_matches_the_literal_search(sec4_cfg):
+    cases = _boundary_bound_cases(sec4_cfg)
+    got, want = _bound_outcomes(cases), _bound_outcomes(cases, ref.rate_upper_bound)
+    assert got == want
+    kinds = {type(w) if isinstance(w, float) else w[0] for w in want}
+    assert kinds == {float, equilibrium.EmptyFeasibleInterval}
+
+
+def test_rate_upper_bound_replay_at_zero_opponents_and_a_zero_power_margin(sec4_cfg):
+    stuck = make_sensor(circuit_power=1.0, max_received_power=1.0)
+    cfgs = [
+        sec4_cfg,
+        make_config([stuck, make_sensor(), make_sensor(bandwidth=1.0)]),
+        make_config([make_sensor(), stuck]),
+        make_config([stuck]),
+    ]
+    cases = []
+    for cfg in cfgs:
+        n = cfg.n_sensors
+        for r in (np.zeros(n), np.full(n, 0.05), np.full(n, 1e-9)):
+            for i in range(n):
+                cases += [(cfg, r, i, m) for m in (0.0, 1e-12, 0.1)]
+    got, want = _bound_outcomes(cases), _bound_outcomes(cases, ref.rate_upper_bound)
+    assert got == want
+    assert any(isinstance(w, float) and w > 0 for w in want)
+    assert any(isinstance(w, tuple) for w in want)
+
+
+@pytest.mark.parametrize(
+    "forced",
+    [lambda x: x * (1 - 1e-6), lambda x: x * (1 + 1e-6), lambda x: 0.0,
+     lambda x: np.inf],
+    ids=["low", "high", "zero", "inf"],
+)
+def test_rate_upper_bound_falls_back_on_a_wrong_estimate(sec4_cfg, monkeypatch, forced):
+    cases = _boundary_bound_cases(sec4_cfg)[::8]
+    want = _bound_outcomes(cases, ref.rate_upper_bound)
+    estimate = equilibrium._rate_limit_estimate
+    monkeypatch.setattr(
+        equilibrium, "_rate_limit_estimate", lambda *a: forced(estimate(*a))
+    )
+    probes = []
+    monkeypatch.setattr(equilibrium, "_invert", lambda *a: probes.append(1) or _invert(*a))
+    assert _bound_outcomes(cases) == want
+    assert len(probes) > 20 * len(cases)    # most calls reran on real probes
+
+
+def test_rate_upper_bound_probes_the_kernel_at_most_three_times(sec4_cfg, monkeypatch):
+    rng = np.random.default_rng(18)
+    profiles = [rng.uniform(0.05, 0.35, size=10) for _ in range(60)]
+    for method in equilibrium._METHODS:
+        res = solve(sec4_cfg, SolverOptions(method=method, max_iter=40))
+        profiles += list(res.trace)
+    counts = []
+
+    def counting(*args):
+        counts[-1] += 1
+        return _invert(*args)
+
+    monkeypatch.setattr(equilibrium, "_invert", counting)
+    for r in profiles:
+        for i in range(10):
+            for m in (0.0, 0.1):
+                counts.append(0)
+                _outcome(rate_upper_bound, i, r, sec4_cfg, m)
+    assert len(counts) > 1000 and max(counts) <= 3
