@@ -24,6 +24,20 @@ a closed-form estimate of the feasible interval's end, then probes the kernel
 at the largest rate judged feasible and the smallest judged infeasible.  The
 kernel is monotone in each rate, so if both verdicts hold, every replayed
 decision is the literal search's; otherwise the search reruns on real probes.
+
+The best response's golden section and derivative-sign bisection, and the
+golden section of `verify_epsilon_ne`, are replayed by speculation.  Each is
+the literal sequential loop, run on kernel values read from a table
+(`_OwnRate`).  Where the loop needs a value not in the table, it guesses its
+coming decisions from x_hat, the estimated stationary point (the bisection:
+g > 0 exactly left of x_hat; the golden section: the inner point nearer x_hat
+wins), and every point that guessed path visits is evaluated in one stacked
+kernel call before the loop reads on.  Every decision thus reads the real
+kernel value at the very float the sequential loop computes, and an
+infeasible value raises its typed error only where the loop reads it: the
+answers are bit-identical to one probe at a time, and a wrong guess costs one
+more stacked call, never a different bit.  Guessed points never leave the
+search's bracket.
 """
 
 from __future__ import annotations
@@ -41,14 +55,15 @@ from .model import (  # noqa: F401 (bench/tracing.py rebinds utility_rate_space)
     EquilibriumResult,
     GameConfig,
     InfeasibilityError,
+    InfeasibleRates,
     _as_profile,
     _as_rates,
     _fees_all,
-    _gradient,
     _invert,
     _second_derivatives,
     _utilities_all,
-    _utility,
+    _own_gradients,
+    _own_utilities,
     _utility_along,
     _with_entry,
     gradient_all,
@@ -208,42 +223,184 @@ def rate_upper_bound(
 # best response
 # ---------------------------------------------------------------------------
 
-def _golden_max(
-    f: Callable[[float], float], a: float, b: float
-) -> tuple[float, float]:
-    """Golden-section maximization down to bracket width _GOLDEN_WIDTH.
+def _stationary_estimate(
+    i: int, r: np.ndarray, cfg: GameConfig, lo: float, hi: float
+) -> float:
+    """Closed-form x_hat of the root of sensor i's own gradient on [lo, hi],
+    the others at r: safeguarded Newton on model._gradient's formula written
+    in F = 1 - T_-i and R_-i; lo or hi where the gradient keeps one sign."""
+    bw, bc = float(cfg.bandwidths[i]), cfg.blockchain
+    t = -np.expm1(-LN2 * (r / cfg.bandwidths))
+    free = 1.0 - (float(t.sum()) - float(t[i]))
+    rest = float(r.sum()) - float(r[i])
+    kap = float(cfg.wpt_factors[i] * cfg.inv_gain_pathloss[i]) * cfg.noise_variance
+    am2, c = bc.quad_coeff * bc.compute_coeff**2, bc.const_coeff
+    lin = float(cfg.rate_prices[i]) - bc.lin_coeff * bc.compute_coeff
+
+    def grad(x):                    # (g, dg/dx), never raising
+        tp = LN2 / bw * 2.0 ** (-x / bw)            # dt_i/dx
+        eps = free - 1.0 + tp * bw / LN2            # 1 - T
+        if not eps > 0.0:
+            return -math.inf, math.nan
+        tot = rest + x
+        share = bend = 0.0          # c R_-i / R^2 and its slope, 0 where R_-i = 0
+        if rest > 0.0:
+            share = c * (rest / tot) / tot
+            bend = 2.0 * share / tot
+        power = kap * free * tp / eps / eps
+        g = lin - power - am2 * (tot + x) - share
+        return g, power * (LN2 / bw - 2.0 * tp / eps) - 2.0 * am2 + bend
+
+    if not grad(lo)[0] > 0.0:
+        return lo
+    if not grad(hi)[0] < 0.0:
+        return hi
+    x = 0.5 * (lo + hi)
+    for _ in range(60):
+        g, dg = grad(x)
+        if g > 0.0:
+            lo = x
+        else:
+            hi = x
+        step = x - g / dg if dg < 0.0 else math.nan
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - x) <= 1e-15 * x:
+            break
+        x = step
+    return x
+
+
+class _OwnRate:
+    """Sensor i's utility and gradient along its own rate, the others fixed at
+    r: the kernel values the best-response searches read, a stacked batch at
+    a time.
+
+    The constructor evaluates the uniform grid on [lo, hi], keeps the edges
+    a, b of the cells around its first maximum `top`, and estimates x_hat, the
+    stationary point in [a, b].  A search reads a value by util(x, guess) or
+    grad(x, guess): where x is not known yet, x, the `pending` points and the
+    points of guess() are evaluated in one stacked call.  An infeasible point
+    is kept as NaN and raises the kernel's typed error only when read.
+    """
+
+    def __init__(self, i, r, lo, hi, points, cfg):
+        grid = np.linspace(lo, hi, points)
+        values = _utility_along(i, r, grid, cfg)
+        k = int(np.argmax(values))
+        a, b = max(k - 1, 0), min(k + 1, points - 1)
+        self.i, self.r, self.cfg = i, r, cfg
+        self.a, self.b, self.top = float(grid[a]), float(grid[b]), float(values[k])
+        seen = [0, a, b, points - 1]        # the only grid points searches read
+        self.u = dict(zip(grid[seen].tolist(), values[seen].tolist()))
+        self.g, self.g_load, self.pending = {}, {}, []
+        self.x_hat = _stationary_estimate(i, r, cfg, self.a, self.b)
+
+    def util(self, x: float, guess=lambda: ()) -> float:
+        """The utility at x; where it is not known yet, x, the pending points
+        and the points of guess() are evaluated first, in one stacked call."""
+        if x not in self.u:
+            todo = [y for y in dict.fromkeys([x, *self.pending, *guess()])
+                    if y not in self.u]
+            self.pending = []
+            u = _own_utilities(self.i, self.r, np.array(todo), self.cfg)
+            self.u.update(zip(todo, u.tolist()))
+        u = self.u[x]
+        if u != u:
+            invert_rates(_with_entry(self.r, self.i, x), self.cfg)   # raises
+        return u
+
+    def grad(self, x: float, guess=lambda: ()) -> float:
+        """The gradient at x; where it is not known yet, x and the points of
+        guess() are evaluated first, in one stacked call."""
+        if x not in self.g:
+            todo = [y for y in dict.fromkeys([x, *guess()]) if y not in self.g]
+            g, load = _own_gradients(self.i, self.r, np.array(todo), self.cfg)
+            self.g.update(zip(todo, g.tolist()))
+            self.g_load.update(zip(todo, load.tolist()))
+        g = self.g[x]
+        if g != g:
+            raise InfeasibleRates(self.g_load[x])
+        return g
+
+
+def _golden_from(f, a: float, b: float, x1: float, x2: float) -> tuple[float, float]:
+    """Golden-section maximization from the bracket (a, b) with inner points
+    x1 < x2 down to bracket width _GOLDEN_WIDTH: (argmax, max) of f over the
+    last bracket's ends and midpoint.  f(x, a, b, x1, x2) is the value at x,
+    read where the bracket is (a, b, x1, x2).
 
     Ties between probe values resolve toward the smaller argument.
     """
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
+    f1, f2 = f(x1, a, b, x1, x2), f(x2, a, b, x1, x2)
     while b - a > _GOLDEN_WIDTH:
         if f1 >= f2:            # keep the left section on ties
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
+            f1 = f(x1, a, b, x1, x2)
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
+            f2 = f(x2, a, b, x1, x2)
     mid = 0.5 * (a + b)
-    best_x, best_u = a, f(a)
-    for x, u in ((mid, f(mid)), (b, f(b))):
+    best_x, best_u = a, f(a, a, b, x1, x2)
+    for x, u in ((mid, f(mid, a, b, x1, x2)), (b, f(b, a, b, x1, x2))):
         if u > best_u:
             best_x, best_u = x, u
     return best_x, best_u
 
 
-def _grid_bracket(
-    i: int, r: np.ndarray, lo: float, hi: float, points: int, cfg: GameConfig
-) -> tuple[float, float, float]:
-    """Edges of the cells around sensor i's first grid maximum, and that maximum."""
-    grid = np.linspace(lo, hi, points)
-    values = _utility_along(i, r, grid, cfg)
-    k = int(np.argmax(values))
-    a, b = grid[max(k - 1, 0)], grid[min(k + 1, points - 1)]
-    return float(a), float(b), float(values[k])
+def _golden_guess(a: float, b: float, x1: float, x2: float, x_hat: float) -> list:
+    """The points _golden_from reads from this bracket if each step keeps the
+    section whose inner point is nearer x_hat."""
+    seen = []
+    _golden_from(lambda x, *_: seen.append(x) or -abs(x - x_hat), a, b, x1, x2)
+    return seen
+
+
+def _golden_max(p: _OwnRate, a: float, b: float) -> tuple[float, float]:
+    """_golden_from on p's utility from [a, b], guessing by _golden_guess."""
+    return _golden_from(
+        lambda x, *bracket: p.util(x, lambda: _golden_guess(*bracket, p.x_hat)),
+        a, b, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a),
+    )
+
+
+def _bisection(g, pa: float, pb: float) -> float:
+    """The polish's bisection of [pa, pb] on the sign of the gradient; g(pm,
+    pa, pb) is the gradient at the midpoint pm of (pa, pb).  Returns the root."""
+    for _ in range(200):
+        pm = 0.5 * (pa + pb)
+        if g(pm, pa, pb) > 0.0:
+            pa = pm
+        else:
+            pb = pm
+        if pb - pa <= 1e-15 * max(1.0, pa):
+            break
+    return 0.5 * (pa + pb)
+
+
+def _bisection_guess(pa: float, pb: float, x_hat: float) -> list:
+    """The midpoints _bisection reads from [pa, pb] if the gradient is
+    positive exactly left of x_hat."""
+    seen = []
+    _bisection(lambda x, *_: seen.append(x) or x_hat - x, pa, pb)
+    return seen
+
+
+def _polish(p: _OwnRate, pa: float, pb: float) -> float | None:
+    """The derivative-sign bisection polish on [pa, pb]: the utility is
+    unimodal on the bracket, so a positive gradient at the left edge and a
+    negative one at the right edge pin an interior stationary point, which
+    is returned; None where they do not.  Where x_hat turns out wrong, a
+    stationary point at the edge is the next guess."""
+    ga = p.grad(pa, lambda: [pb, *_bisection_guess(pa, pb, p.x_hat)])
+    gb = p.grad(pb)
+    if not ga > 0.0 > gb:
+        p.x_hat = pa if ga <= 0.0 else pb
+        return None
+    return _bisection(
+        lambda x, pa, pb: p.grad(x, lambda: _bisection_guess(pa, pb, p.x_hat)), pa, pb)
 
 
 def _best_response_full(
@@ -253,50 +410,38 @@ def _best_response_full(
 
     Search contract: 64-point coarse grid to bracket the maximum, golden
     section down to a 1e-10 bracket, then a derivative-sign bisection polish
-    inside the final bracket.  The polish pins interior stationary points to
-    machine precision, which the downstream fixed-point solve needs.
+    inside the grid bracket.  The polish pins interior stationary points to
+    machine precision, which the downstream fixed-point solve needs.  Both
+    searches are replayed; see the module docstring.
     """
-    r = rates.copy()
-    hi = rate_upper_bound(i, r, cfg, min_rate)
+    hi = rate_upper_bound(i, rates, cfg, min_rate)
     lo = min_rate
     if hi <= lo:
         return lo
-
-    def u_of(x: float) -> float:
-        r[i] = x
-        return _utility(i, r, cfg)
-
-    def g_of(x: float) -> float:
-        r[i] = x
-        return float(_gradient(r, cfg, i))
-
-    a, b, _ = _grid_bracket(i, r, lo, hi, _COARSE_GRID, cfg)
-    best_x, best_u = _golden_max(u_of, a, b)
-
-    # Polish: the utility is unimodal on the bracket, so a positive gradient
-    # at the left edge and a negative one at the right edge pin an interior
-    # stationary point.
-    pa = max(lo, a - _GOLDEN_WIDTH)
-    pb = min(hi, b + _GOLDEN_WIDTH)
-    ga, gb = g_of(pa), g_of(pb)
-    if ga > 0.0 > gb:
-        for _ in range(200):
-            pm = 0.5 * (pa + pb)
-            if g_of(pm) > 0.0:
-                pa = pm
-            else:
-                pb = pm
-            if pb - pa <= 1e-15 * max(1.0, pa):
-                break
-        root = 0.5 * (pa + pb)
-        u_root = u_of(root)
+    p = _OwnRate(i, rates, lo, hi, _COARSE_GRID, cfg)
+    # The sequential search reads the golden section first; the polish runs
+    # first here so that its root is the golden section's x_hat, and a
+    # gradient error waits for whatever the golden section raises.
+    failure = None
+    try:
+        root = _polish(p, max(lo, p.a - _GOLDEN_WIDTH), min(hi, p.b + _GOLDEN_WIDTH))
+    except InfeasibleRates as e:
+        root, failure = None, e
+    if root is not None:
+        p.x_hat = root
+        p.pending.append(root)
+    best_x, best_u = _golden_max(p, p.a, p.b)
+    if failure is not None:
+        raise failure
+    if root is not None:
+        u_root = p.util(root)
         if u_root > best_u:
             best_x, best_u = root, u_root
 
     # Interval endpoints are the only candidates that can tie the interior
     # maximum; ties break toward the smallest rate.
     for x in (lo, hi):
-        u = u_of(x)
+        u = p.util(x)
         if u > best_u or (u == best_u and x < best_x):
             best_x, best_u = x, u
     return best_x
@@ -609,8 +754,9 @@ def solve(cfg: GameConfig, opts: SolverOptions | None = None) -> EquilibriumResu
             residual = float(np.max(np.abs(r_new - r)))
             trace.append(r_new.copy())
             if _profile_feasible(r_new, cfg):
-                r = r_new
                 converged = residual < opts.tol
+                if not converged:       # a certified r stays the answer
+                    r = r_new
                 continue
         # the step raised or overshot into the infeasible region (the last
         # feasible iterate stays the state): refine, or stop the pure dynamics
@@ -657,16 +803,9 @@ def verify_epsilon_ne(
     r_star = np.asarray(r_star, dtype=float)
     base = _utilities_all(r_star, cfg)
     worst = -math.inf
-    r = r_star.copy()
     for i in range(cfg.n_sensors):
         hi = rate_upper_bound(i, r_star, cfg, min_rate)
-
-        def u_of(x: float) -> float:
-            r[i] = x
-            return _utility(i, r, cfg)
-
-        a, b, u_grid = _grid_bracket(i, r, min_rate, hi, grid_points, cfg)
-        u_best = max(_golden_max(u_of, a, b)[1], u_grid)
-        r[i] = r_star[i]
+        p = _OwnRate(i, r_star, min_rate, hi, grid_points, cfg)
+        u_best = max(_golden_max(p, p.a, p.b)[1], p.top)
         worst = max(worst, u_best - float(base[i]))
     return worst <= epsilon, worst

@@ -392,13 +392,22 @@ def _utility_along(
     i: int, r: np.ndarray, grid: np.ndarray, cfg: GameConfig
 ) -> np.ndarray:
     """_utility at each own-rate of `grid`, the others fixed at r, stacked."""
-    m = grid.size
-    p, total, ok = _own_powers(r[None], np.zeros(m, dtype=int), np.full(m, i), grid, cfg)
-    if not ok.all():            # raise for the first infeasible own-rate
-        invert_rates(_with_entry(r, i, grid[np.argmin(ok)]), cfg)
+    u = _own_utilities(i, r, grid, cfg)
+    bad = np.isnan(u)
+    if bad.any():               # raise for the first infeasible own-rate
+        invert_rates(_with_entry(r, i, grid[np.argmax(bad)]), cfg)
+    return u
+
+
+def _own_utilities(i: int, r: np.ndarray, x: np.ndarray, cfg: GameConfig) -> np.ndarray:
+    """_utility of sensor i at each own-rate x[q], the others fixed at r;
+    NaN where _utility would raise.  Never raises."""
+    p, total, ok = _own_powers(r[None], None, i, x, cfg)
     safe = np.where(total > 0.0, total, 1.0)   # a zero total has zero fees
-    fee = grid / safe * blockchain_power(safe, cfg.blockchain)
-    return cfg.rate_prices[i] * grid - cfg.wpt_factors[i] * p - fee
+    fee = x / safe * blockchain_power(safe, cfg.blockchain)
+    u = cfg.rate_prices[i] * x - cfg.wpt_factors[i] * p - fee
+    u[~ok] = np.nan
+    return u
 
 
 def utility_power_space(i: int, powers: PowerVector, cfg: GameConfig) -> float:
@@ -483,6 +492,35 @@ def _gradient(r: np.ndarray, cfg: GameConfig, i=...):
     return cfg.rate_prices[i] - dpower_cost - dfee
 
 
+def _own_gradients(i: int, r: np.ndarray, x: np.ndarray, cfg: GameConfig):
+    """(g, load): _gradient(r, cfg, i) with r_i = x[q], the others fixed at r,
+    and that profile's load; g is NaN where _gradient raises.  Never raises."""
+    g, load = np.empty(x.size), np.empty(x.size)
+    bc = cfg.blockchain
+    am2 = bc.quad_coeff * bc.compute_coeff**2
+    for q, Q, at in _own_rows(r[None], None, i, x):
+        z = np.exp2(-(Q / cfg.bandwidths))
+        t = 1.0 - z
+        load[q] = t.sum(axis=1)
+        ok = load[q] < 1.0 - DEFAULT_FEASIBILITY_MARGIN
+        eps = np.where(ok, 1.0 - load[q], 1.0)
+        tp = (LN2 / cfg.bandwidths[i]) * z[at]
+        dbeta = cfg.noise_variance * tp * (eps + t[at]) / (eps * eps)
+        dpower_cost = cfg.wpt_factors[i] * cfg.inv_gain_pathloss[i] * dbeta
+        rho = Q.sum(axis=1)
+        safe = np.where(rho > 0.0, rho, 1.0)    # a zero total has no fees
+        rho2 = np.array([v**2 for v in safe.tolist()])  # Python's pow, as _gradient
+        dfee = (
+            am2 * safe
+            + bc.lin_coeff * bc.compute_coeff
+            + bc.const_coeff / safe
+            + x[q] * (am2 - bc.const_coeff / rho2)
+        )
+        g[q] = np.where(ok, cfg.rate_prices[i] - dpower_cost
+                        - np.where(rho > 0.0, dfee, 0.0), np.nan)
+    return g, load
+
+
 def utility_second_derivative(i: int, rates: RateVector, cfg: GameConfig) -> float:
     """d^2 u_i / d r_i^2 at an interior rate profile.
 
@@ -541,17 +579,27 @@ def _second_derivatives(R: np.ndarray, cfg: GameConfig, sensors: np.ndarray):
 
 
 def _own_powers(R, rows, own, x, cfg: GameConfig):
-    """p_i, total rate and feasibility of each profile R[rows[q]] with its
-    entry i = own[q] set to x[q], inverted in stacks of at most _STACK_SIZE rates."""
+    """p_i, total rate and feasibility of each profile of _own_rows(R, rows, own, x)."""
     p, total, ok = np.empty(x.size), np.empty(x.size), np.empty(x.size, dtype=bool)
+    for q, Q, at in _own_rows(R, rows, own, x):
+        *_, P, ok[q] = _invert(Q, cfg)
+        p[q], total[q] = P[at], Q.sum(axis=1)
+    return p, total, ok
+
+
+def _own_rows(R, rows, own, x):
+    """Chunks (q, Q, at) of the profiles R[rows[q]] with entry i = own[q] set to
+    x[q], at most _STACK_SIZE rates each; Q[at] are those entries.  With rows
+    None, every profile is R[0] and own is one sensor."""
     step = max(1, _STACK_SIZE // R.shape[1])
     for s in range(0, x.size, step):
-        q = np.arange(s, min(s + step, x.size))
-        Q = R[rows[q]]
-        Q[q - s, own[q]] = x[q]
-        *_, P, ok[q] = _invert(Q, cfg)
-        p[q], total[q] = P[q - s, own[q]], Q.sum(axis=1)
-    return p, total, ok
+        q = slice(s, min(s + step, x.size))
+        if rows is None:
+            Q, at = np.repeat(R[:1], q.stop - s, axis=0), (slice(None), own)
+        else:
+            Q, at = R[rows[q]], (np.arange(q.stop - s), own[q])
+        Q[at] = x[q]
+        yield q, Q, at
 
 
 def _with_entry(r: np.ndarray, i: int, value: float) -> np.ndarray:

@@ -3,8 +3,9 @@
 `reference_invert` and `reference_gradient` are the literal inversion and
 gradient arithmetic; the searches below are built only on the public
 `invert_rates` and `utility_rate_space` and on `reference_gradient`, probe
-feasibility by catching exceptions, and evaluate every grid point one
-profile at a time.  The same holds for the scalar
+feasibility by catching exceptions, and evaluate every grid point and every
+golden-section and bisection probe one profile at a time, in the order of
+the sequential search.  The same holds for the scalar
 copies of the grid oracle, of the finite-difference second derivative and of
 the existence check's sampling loop.  The kernel-based, stacked code must
 match them bit for bit: tests compare with `==`.
@@ -19,9 +20,9 @@ import numpy as np
 from crowdgame import oracle
 from crowdgame.equilibrium import (
     _COARSE_GRID,
+    _GOLDEN,
     _GOLDEN_WIDTH,
     EmptyFeasibleInterval,
-    _golden_max,
     _halton,
 )
 from crowdgame.model import (
@@ -51,8 +52,12 @@ def reference_invert(r: np.ndarray, cfg, margin: float = 1e-9):
     return ("ok", p, gamma, beta, beta_sum, load)
 
 
-def reference_gradient(r: np.ndarray, cfg, margin: float = 1e-9) -> np.ndarray:
+GRADIENT_MARGIN = 1e-9      # model.DEFAULT_FEASIBILITY_MARGIN, as _gradient reads it
+
+
+def reference_gradient(r: np.ndarray, cfg, margin: float | None = None) -> np.ndarray:
     """Every sensor's d u_i / d r_i, by the literal vector arithmetic."""
+    margin = GRADIENT_MARGIN if margin is None else margin
     x = r / cfg.bandwidths
     z = np.exp2(-x)
     t = 1.0 - z
@@ -109,6 +114,28 @@ def rate_upper_bound(i: int, rates, cfg, min_rate: float) -> float:
     return lo
 
 
+def golden_max(f, a: float, b: float) -> tuple[float, float]:
+    """The sequential golden section: one probe per step, ties to the left."""
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > _GOLDEN_WIDTH:
+        if f1 >= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = f(x2)
+    mid = 0.5 * (a + b)
+    best_x, best_u = a, f(a)
+    for x, u in ((mid, f(mid)), (b, f(b))):
+        if u > best_u:
+            best_x, best_u = x, u
+    return best_x, best_u
+
+
 def best_response(i: int, rates, cfg, min_rate: float) -> float:
     r = np.asarray(rates, dtype=float).copy()
     hi = rate_upper_bound(i, r, cfg, min_rate)
@@ -129,7 +156,7 @@ def best_response(i: int, rates, cfg, min_rate: float) -> float:
     k = int(np.argmax(values))
     a = float(grid[max(k - 1, 0)])
     b = float(grid[min(k + 1, _COARSE_GRID - 1)])
-    best_x, best_u = _golden_max(u_of, a, b)
+    best_x, best_u = golden_max(u_of, a, b)
     pa = max(lo, a - _GOLDEN_WIDTH)
     pb = min(hi, b + _GOLDEN_WIDTH)
     ga, gb = g_of(pa), g_of(pb)
@@ -170,7 +197,7 @@ def verify_worst_gain(r_star, cfg, grid_points: int, min_rate: float) -> float:
         k = int(np.argmax(values))
         a = float(grid[max(k - 1, 0)])
         b = float(grid[min(k + 1, grid_points - 1)])
-        _, u_best = _golden_max(u_of, a, b)
+        _, u_best = golden_max(u_of, a, b)
         u_best = max(u_best, values[k])
         r[i] = r_star[i]
         worst = max(worst, u_best - base)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_config, make_sensor
+from conftest import REPO_ROOT, make_config, make_sensor
 from crowdgame import equilibrium
 from crowdgame.equilibrium import (
     EmptyFeasibleInterval,
@@ -174,6 +174,56 @@ def test_sec4_equilibrium_frozen_values(sec4_solution):
         + [0.30414407484425729]
     )
     np.testing.assert_allclose(sec4_solution.rates, expected, rtol=1e-12)
+
+
+def test_pinned_solve_csv_is_within_one_unit_of_the_50_digit_equilibrium(sec4_cfg):
+    mp = pytest.importorskip("mpmath")
+    cfg, bc = sec4_cfg, sec4_cfg.blockchain
+    rows = (REPO_ROOT / "bench" / "expected" / "solve.csv").read_text().splitlines()
+    with mp.workdps(50):
+        f = mp.mpf
+        a, lin = f(bc.quad_coeff), f(bc.lin_coeff)
+        c, m = f(bc.const_coeff), f(bc.compute_coeff)
+        s2, am2 = f(cfg.noise_variance), f(bc.quad_coeff) * f(bc.compute_coeff) ** 2
+        # sensor k is of class k % 3; the classes hold 4, 3 and 3 sensors
+        per = [cfg.sensors[k] for k in range(3)]
+        band = [f(s.bandwidth) for s in per]
+        kappa = [f(s.ap_distance) ** f(s.path_loss_exp) / f(s.channel_gain) for s in per]
+        wpt = [f(cfg.power_price) * f(s.beacon_distance) ** f(cfg.wpt_path_loss_exp)
+               for s in per]
+        price = [f(s.unit_rate_price) for s in per]
+
+        def aggregates(r):
+            t = [1 - mp.power(2, -r[k] / band[k]) for k in range(3)]
+            return t, 4 * t[0] + 3 * t[1] + 3 * t[2], 4 * r[0] + 3 * r[1] + 3 * r[2]
+
+        def gradients(*r):
+            t, load, total = aggregates(r)
+            eps = 1 - load
+            out = []
+            for k in range(3):
+                dt = mp.log(2) / band[k] * (1 - t[k])
+                dpower = wpt[k] * kappa[k] * s2 * dt * (eps + t[k]) / eps**2
+                dfee = am2 * total + lin * m + c / total + r[k] * (am2 - c / total**2)
+                out.append(price[k] - dpower - dfee)
+            return out
+
+        r = list(mp.findroot(gradients, (f("0.304"), f("0.304"), f("0.3035"))))
+        t, load, total = aggregates(r)
+        checked = 0
+        for row in rows[1:11]:
+            sensor, *fields = row.split(",")
+            k = (int(sensor) - 1) % 3
+            power = f(per[k].circuit_power) + t[k] * s2 / (1 - load) * kappa[k]
+            fee = r[k] / total * (a * (m * total) ** 2 + lin * m * total + c)
+            utility = price[k] * r[k] - wpt[k] * power - fee
+            exact = [r[k], power, fee, r[k] / total, utility]
+            for text, value in zip(fields, exact):
+                unit = mp.power(10, mp.floor(mp.log10(abs(value))) - 11)
+                off = mp.nint(f(text) / unit) - mp.nint(value / unit)
+                assert abs(off) <= 1, (row, text)
+                checked += 1
+    assert checked == 50
 
 
 def test_fixed_point_property(sec4_cfg, sec4_solution):
@@ -361,6 +411,34 @@ def test_solve_never_raises_on_random_games(method):
         res = solve(cfg, opts)
         assert res.rates.shape == (n,)
         invert_rates(res.rates, cfg)
+
+
+def _seeded_game(seed, n=10):
+    """The seeded random game of the converged-answer certificate survey."""
+    rng = np.random.default_rng(seed)
+
+    def draw(lo, hi):
+        return [float(x) for x in rng.uniform(lo, hi, n)]
+
+    cols = dict(bandwidth=draw(0.5, 3), channel_gain=draw(0.5, 3),
+                ap_distance=draw(0.1, 1), path_loss_exp=draw(2, 4),
+                circuit_power=draw(0, 2), unit_rate_price=draw(0, 30),
+                beacon_distance=draw(0.5, 3), max_received_power=draw(4, 12))
+    sensors = [make_sensor(**{k: v[j] for k, v in cols.items()}) for j in range(n)]
+    return make_config(sensors, noise_variance=float(rng.uniform(0.5, 2)))
+
+
+@pytest.mark.parametrize("seed, method", [(362, "jacobi_br"), (293, "gauss_seidel_br")])
+def test_a_converged_answer_passes_its_own_certificate(seed, method):
+    # near a binding power cap one more step can move the iterate by 100x
+    # the residual that certified the one before it
+    cfg = _seeded_game(seed)
+    opts = SolverOptions(method=method, min_rate=0.0, max_iter=300)
+    res = solve(cfg, opts)
+    assert res.converged
+    step = equilibrium._STEPPERS[method](res.rates, cfg, opts)
+    assert np.max(np.abs(step - res.rates)) < opts.tol
+    assert verify_epsilon_ne(res.rates, cfg, 1e-6, 2000, 0.0)[0]
 
 
 # ---------------------------------------------------------------------------

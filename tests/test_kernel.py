@@ -6,6 +6,7 @@ searches must return the very floats of the reference searches.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,8 +30,10 @@ from crowdgame.model import (
     PowerBoundExceeded,
     _invert,
     _second_derivatives,
+    _own_gradients,
     _utility,
     _utility_along,
+    _with_entry,
     gradient_all,
     invert_rates,
     utility_gradient_analytic,
@@ -423,3 +426,141 @@ def test_rate_upper_bound_probes_the_kernel_at_most_three_times(sec4_cfg, monkey
                 counts.append(0)
                 _outcome(rate_upper_bound, i, r, sec4_cfg, m)
     assert len(counts) > 1000 and max(counts) <= 3
+
+
+def _tiled(cfg, n):
+    """cfg's sensors repeated to n sensors."""
+    return replace(cfg, sensors=[cfg.sensors[k % cfg.n_sensors] for k in range(n)])
+
+
+def _hard_search_cases(sec4):
+    """(cfg, rates, sensor, min_rate) where the speculation guesses worst: the
+    800 boundary profiles at min_rate 0 (load near 1, each cap binding), each
+    for its pushed sensor or one of the others, and sec4 tiled to 160 sensors."""
+    rng = np.random.default_rng(19)
+    cases = [(sec4, r, (k // 2) % 10 if k < 400 else k % 10, 0.0)
+             for k, r in enumerate(_boundary_profiles(sec4, rng, 400))]
+    cheap = make_sensor(unit_rate_price=0.01)      # its best response is 0
+    for cfg in (make_config([make_sensor()]), make_config([cheap]),
+                make_config([cheap, make_sensor()])):
+        r = np.zeros(cfg.n_sensors)     # no opponents' rates: a zero fee base
+        cases += [(cfg, r, 0, m) for m in (0.0, 1e-12)]
+    big = _tiled(sec4, 160)
+    for load in (0.5, 0.9, 0.999):
+        r = -big.bandwidths * np.log2(1.0 - load / 160) * rng.uniform(0.97, 1.03, 160)
+        cases += [(big, r, i, m) for i in (0, 41, 159) for m in (0.0, 0.0025)]
+    return cases
+
+
+def test_best_response_matches_reference_on_boundary_and_tiled_profiles(sec4_cfg):
+    cases = _hard_search_cases(sec4_cfg)
+    got = [_outcome(_best_response_full, i, r, cfg, m) for cfg, r, i, m in cases]
+    want = [_outcome(ref.best_response, i, r, cfg, m) for cfg, r, i, m in cases]
+    assert got == want
+    assert sum(isinstance(w, float) for w in want) > 600
+    assert sum(isinstance(w, float) for w in want[800:]) == 24
+    assert 0.0 in want[800:]
+
+
+def test_verify_worst_gain_matches_reference_on_boundary_and_tiled_profiles(sec4_cfg):
+    cases = [(cfg, r) for cfg, r, i, m in _hard_search_cases(sec4_cfg)[::20]]
+    compared = 0
+    for cfg, r in cases:
+        got = _outcome(lambda r: verify_epsilon_ne(r, cfg, 1e-6, 64, 0.0)[1], r)
+        assert got == _outcome(ref.verify_worst_gain, r, cfg, 64, 0.0)
+        compared += isinstance(got, float)
+    assert compared >= 15 and cases[-1][0].n_sensors == 160
+
+
+def _gradient_outcomes(cfg, r, i, x):
+    """The stacked own-rate gradients at x, each as _outcome(_gradient) gives it."""
+    g, load = _own_gradients(i, r, x, cfg)
+    return [(InfeasibleRates, str(InfeasibleRates(lq))) if gq != gq else gq
+            for gq, lq in zip(g.tolist(), load.tolist())]
+
+
+def test_stacked_gradients_equal_the_scalar_gradient(sec4_cfg, monkeypatch):
+    rng = np.random.default_rng(21)
+    cases = [(sec4_cfg, r) for r in _boundary_profiles(sec4_cfg, rng, 60)]
+    while len(cases) < 200:
+        cfg = _random_game(rng, int(rng.integers(1, 8)))
+        cases.append((cfg, rng.uniform(0.0, 0.4, size=cfg.n_sensors)))
+    big = _tiled(sec4_cfg, 160)
+    cases += [(big, np.full(160, 0.0025)), (big, rng.uniform(0.0, 0.006, 160))]
+    kinds = set()
+    for cfg, r in cases:
+        for i in sorted({0, cfg.n_sensors // 2, cfg.n_sensors - 1}):
+            x = np.linspace(0.0, 3.0, 41)   # crosses the load limit in most cases
+            want = [_outcome(model._gradient, _with_entry(r, i, xq), cfg, i) for xq in x]
+            assert _gradient_outcomes(cfg, r, i, x) == want
+            kinds |= {float if isinstance(w, float) else w[0] for w in want}
+    assert kinds == {float, InfeasibleRates}
+    # across chunk boundaries: 3 rows of 10 rates a stacked call
+    r, x = cases[5][1], np.linspace(0.0, 1.0, 37)
+    want = _gradient_outcomes(sec4_cfg, r, 4, x)
+    monkeypatch.setattr(model, "_STACK_SIZE", 30)
+    assert _gradient_outcomes(sec4_cfg, r, 4, x) == want
+
+
+def test_replay_table_reads_raise_the_scalar_kernels_errors(sec4_cfg):
+    kinds = set()
+    for others in (0.01, 0.12):     # quiet opponents: sensor 4's own cap binds first
+        r, i = np.full(10, others), 4
+        hi = rate_upper_bound(i, r, sec4_cfg, 0.0)
+        p = equilibrium._OwnRate(i, r, 0.0, hi, 64, sec4_cfg)
+        for x in (hi, hi * 1.001, hi * 1.5, 3.0):   # past the interval, then the load
+            want = _outcome(_utility, i, _with_entry(r, i, x), sec4_cfg)
+            assert _outcome(p.util, x) == want
+            kinds.add(want[0] if isinstance(want, tuple) else float)
+            want = _outcome(model._gradient, _with_entry(r, i, x), sec4_cfg, i)
+            assert _outcome(p.grad, x) == want
+            kinds.add(want[0] if isinstance(want, tuple) else float)
+    assert kinds == {float, PowerBoundExceeded, InfeasibleRates}
+
+
+@pytest.mark.parametrize("margin", [1e-4, 1e-3])
+def test_best_response_raises_where_the_literal_search_reads_an_infeasible_gradient(
+    sec4_cfg, monkeypatch, margin
+):
+    # a wider margin for the gradient only: near the load limit the polish
+    # reads gradients the utility kernel still accepts
+    monkeypatch.setattr(model, "DEFAULT_FEASIBILITY_MARGIN", margin)
+    monkeypatch.setattr(ref, "GRADIENT_MARGIN", margin)
+    cases = _boundary_bound_cases(sec4_cfg)[::40]
+    want = [_outcome(ref.best_response, i, r, cfg, m) for cfg, r, i, m in cases]
+    got = [_outcome(_best_response_full, i, r, cfg, m) for cfg, r, i, m in cases]
+    assert got == want
+    assert any(isinstance(w, tuple) and w[0] is InfeasibleRates for w in want)
+
+
+def test_best_response_makes_few_stacked_kernel_calls(sec4_cfg, monkeypatch):
+    rng = np.random.default_rng(18)
+    profiles = [rng.uniform(0.05, 0.35, size=10) for _ in range(60)]
+    for method in equilibrium._METHODS:
+        res = solve(sec4_cfg, SolverOptions(method=method, max_iter=40))
+        profiles += list(res.trace)
+    counts = []
+
+    def counting(kernel):
+        def counted(*args):
+            counts[-1] += 1
+            return kernel(*args)
+        return counted
+
+    def scalar(*args):
+        raise AssertionError("a scalar kernel call inside a search")
+
+    for name in ("_utility_along", "_own_utilities", "_own_gradients"):
+        monkeypatch.setattr(equilibrium, name, counting(getattr(equilibrium, name)))
+    monkeypatch.setattr(model, "_utility", scalar)
+    monkeypatch.setattr(model, "_gradient", scalar)
+    for r in profiles:
+        for i in range(10):
+            for m in (0.0, 0.1):
+                counts.append(0)
+                _outcome(_best_response_full, i, r, sec4_cfg, m)
+    # about 88 scalar probes a call before the searches were replayed
+    assert len(counts) > 1000 and np.mean(counts) <= 7.0 and max(counts) <= 12
+    counts.append(0)
+    verify_epsilon_ne(profiles[-1], sec4_cfg, 1e-6, 500)
+    assert counts[-1] <= 10 * 12
