@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import REPO_ROOT, make_config, make_sensor
-from crowdgame import equilibrium
+from crowdgame import equilibrium, oracle
 from crowdgame.equilibrium import (
     EmptyFeasibleInterval,
     SolverOptions,
@@ -17,6 +17,7 @@ from crowdgame.equilibrium import (
 )
 from crowdgame.model import (
     BlockchainParams,
+    InfeasibilityError,
     InfeasibleRates,
     blockchain_power,
     invert_rates,
@@ -439,6 +440,29 @@ def test_a_converged_answer_passes_its_own_certificate(seed, method):
     step = equilibrium._STEPPERS[method](res.rates, cfg, opts)
     assert np.max(np.abs(step - res.rates)) < opts.tol
     assert verify_epsilon_ne(res.rates, cfg, 1e-6, 2000, 0.0)[0]
+
+
+def test_every_converged_answer_passes_its_own_certificate():
+    rng = np.random.default_rng(5)
+    checked = 0
+    for _ in range(12):
+        n, seed = int(rng.integers(1, 9)), int(rng.integers(0, 10**6))
+        cfg = _seeded_game(seed, n)
+        for min_rate in (0.0, 1e-3, 0.1):
+            for method in equilibrium._METHODS:
+                opts = SolverOptions(method=method, min_rate=min_rate, max_iter=300)
+                try:
+                    res = solve(cfg, opts)
+                except InfeasibilityError:
+                    continue        # an infeasible start raises by contract
+                if not res.converged:
+                    continue
+                step = equilibrium._STEPPERS[method](res.rates, cfg, opts)
+                case = (seed, min_rate, method)
+                assert np.max(np.abs(step - res.rates)) < opts.tol, case
+                assert oracle.grid_certify_ne(res.rates, cfg, 256, min_rate) <= 1e-6, case
+                checked += 1
+    assert checked >= 90
 
 
 # ---------------------------------------------------------------------------
