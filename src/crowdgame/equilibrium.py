@@ -31,13 +31,15 @@ the literal sequential loop, run on kernel values read from a table
 (`_OwnRate`).  Where the loop needs a value not in the table, it guesses its
 coming decisions from x_hat, the estimated stationary point (the bisection:
 g > 0 exactly left of x_hat; the golden section: the inner point nearer x_hat
-wins), and every point that guessed path visits is evaluated in one stacked
-kernel call before the loop reads on.  Every decision thus reads the real
-kernel value at the very float the sequential loop computes, and an
-infeasible value raises its typed error only where the loop reads it: the
-answers are bit-identical to one probe at a time, and a wrong guess costs one
-more stacked call, never a different bit.  Guessed points never leave the
-search's bracket.
+wins), and x, x_hat and every point of that guessed path are evaluated in one
+stacked kernel call before the loop reads on.  Every decision thus reads the
+real kernel value at the very float the sequential loop computes: the answers
+are bit-identical to one probe at a time, and a wrong guess costs one more
+stacked call, never a different bit.  Guessed points never leave the search's
+bracket.  The polish runs first and passes its root to the golden section as
+x_hat, and its gradient error is raised at once: the golden section reads
+utilities only on [min_rate, rate_upper_bound], all feasible, so it cannot
+raise first.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from .model import (  # noqa: F401 (bench/tracing.py rebinds utility_rate_space)
     EquilibriumResult,
     GameConfig,
     InfeasibilityError,
-    InfeasibleRates,
     _as_profile,
     _as_rates,
     _fees_all,
@@ -279,9 +280,9 @@ class _OwnRate:
     The constructor evaluates the uniform grid on [lo, hi], keeps the edges
     a, b of the cells around its first maximum `top`, and estimates x_hat, the
     stationary point in [a, b].  A search reads a value by util(x, guess) or
-    grad(x, guess): where x is not known yet, x, the `pending` points and the
-    points of guess() are evaluated in one stacked call.  An infeasible point
-    is kept as NaN and raises the kernel's typed error only when read.
+    grad(x, guess): where x is not known yet, x and the points of guess() are
+    evaluated in one stacked call.  An infeasible point is kept as NaN and
+    raises the scalar kernel's typed error only when read.
     """
 
     def __init__(self, i, r, lo, hi, points, cfg):
@@ -293,35 +294,24 @@ class _OwnRate:
         self.a, self.b, self.top = float(grid[a]), float(grid[b]), float(values[k])
         seen = [0, a, b, points - 1]        # the only grid points searches read
         self.u = dict(zip(grid[seen].tolist(), values[seen].tolist()))
-        self.g, self.g_load, self.pending = {}, {}, []
+        self.g = {}
         self.x_hat = _stationary_estimate(i, r, cfg, self.a, self.b)
 
     def util(self, x: float, guess=lambda: ()) -> float:
-        """The utility at x; where it is not known yet, x, the pending points
-        and the points of guess() are evaluated first, in one stacked call."""
-        if x not in self.u:
-            todo = [y for y in dict.fromkeys([x, *self.pending, *guess()])
-                    if y not in self.u]
-            self.pending = []
-            u = _own_utilities(self.i, self.r, np.array(todo), self.cfg)
-            self.u.update(zip(todo, u.tolist()))
-        u = self.u[x]
-        if u != u:
-            invert_rates(_with_entry(self.r, self.i, x), self.cfg)   # raises
-        return u
+        return self._read(self.u, _own_utilities, invert_rates, x, guess)
 
     def grad(self, x: float, guess=lambda: ()) -> float:
-        """The gradient at x; where it is not known yet, x and the points of
-        guess() are evaluated first, in one stacked call."""
-        if x not in self.g:
-            todo = [y for y in dict.fromkeys([x, *guess()]) if y not in self.g]
-            g, load = _own_gradients(self.i, self.r, np.array(todo), self.cfg)
-            self.g.update(zip(todo, g.tolist()))
-            self.g_load.update(zip(todo, load.tolist()))
-        g = self.g[x]
-        if g != g:
-            raise InfeasibleRates(self.g_load[x])
-        return g
+        return self._read(self.g, _own_gradients, gradient_all, x, guess)
+
+    def _read(self, table, stacked, scalar, x, guess):
+        if x not in table:
+            todo = [y for y in dict.fromkeys([x, *guess()]) if y not in table]
+            values = stacked(self.i, self.r, np.array(todo), self.cfg)
+            table.update(zip(todo, values.tolist()))
+        v = table[x]
+        if v != v:
+            scalar(_with_entry(self.r, self.i, x), self.cfg)     # raises
+        return v
 
 
 def _golden_from(f, a: float, b: float, x1: float, x2: float) -> tuple[float, float]:
@@ -350,22 +340,6 @@ def _golden_from(f, a: float, b: float, x1: float, x2: float) -> tuple[float, fl
     return best_x, best_u
 
 
-def _golden_guess(a: float, b: float, x1: float, x2: float, x_hat: float) -> list:
-    """The points _golden_from reads from this bracket if each step keeps the
-    section whose inner point is nearer x_hat."""
-    seen = []
-    _golden_from(lambda x, *_: seen.append(x) or -abs(x - x_hat), a, b, x1, x2)
-    return seen
-
-
-def _golden_max(p: _OwnRate, a: float, b: float) -> tuple[float, float]:
-    """_golden_from on p's utility from [a, b], guessing by _golden_guess."""
-    return _golden_from(
-        lambda x, *bracket: p.util(x, lambda: _golden_guess(*bracket, p.x_hat)),
-        a, b, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a),
-    )
-
-
 def _bisection(g, pa: float, pb: float) -> float:
     """The polish's bisection of [pa, pb] on the sign of the gradient; g(pm,
     pa, pb) is the gradient at the midpoint pm of (pa, pb).  Returns the root."""
@@ -380,27 +354,39 @@ def _bisection(g, pa: float, pb: float) -> float:
     return 0.5 * (pa + pb)
 
 
-def _bisection_guess(pa: float, pb: float, x_hat: float) -> list:
-    """The midpoints _bisection reads from [pa, pb] if the gradient is
-    positive exactly left of x_hat."""
+def _path(search, decide, *state) -> list:
+    """The points search(f, *state) reads if f decides as decide(x) does:
+    the guessed path that a miss evaluates in one stacked call."""
     seen = []
-    _bisection(lambda x, *_: seen.append(x) or x_hat - x, pa, pb)
+    search(lambda x, *_: seen.append(x) or decide(x), *state)
     return seen
 
 
-def _polish(p: _OwnRate, pa: float, pb: float) -> float | None:
-    """The derivative-sign bisection polish on [pa, pb]: the utility is
-    unimodal on the bracket, so a positive gradient at the left edge and a
-    negative one at the right edge pin an interior stationary point, which
-    is returned; None where they do not.  Where x_hat turns out wrong, a
-    stationary point at the edge is the next guess."""
-    ga = p.grad(pa, lambda: [pb, *_bisection_guess(pa, pb, p.x_hat)])
+def _golden_max(p: _OwnRate, a: float, b: float, x_hat: float) -> tuple[float, float]:
+    """_golden_from on p's utility from [a, b].  Each miss guesses that every
+    step keeps the section whose inner point is nearer x_hat, and x_hat itself
+    rides in the first stacked call."""
+    near = lambda x: -abs(x - x_hat)     # noqa: E731
+    return _golden_from(
+        lambda x, *at: p.util(x, lambda: [x_hat, *_path(_golden_from, near, *at)]),
+        a, b, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a),
+    )
+
+
+def _polish(p: _OwnRate, pa: float, pb: float) -> tuple[float | None, float]:
+    """The derivative-sign bisection polish on [pa, pb], guessing that the
+    gradient is positive exactly left of p.x_hat.  The utility is unimodal on
+    the bracket, so a positive gradient at the left edge and a negative one at
+    the right edge pin an interior stationary point.  Returns (root, x_hat
+    for the golden section): the root twice, or None and the edge where the
+    stationary point then lies."""
+    left = lambda x: p.x_hat - x     # noqa: E731
+    ga = p.grad(pa, lambda: [pb, *_path(_bisection, left, pa, pb)])
     gb = p.grad(pb)
     if not ga > 0.0 > gb:
-        p.x_hat = pa if ga <= 0.0 else pb
-        return None
-    return _bisection(
-        lambda x, pa, pb: p.grad(x, lambda: _bisection_guess(pa, pb, p.x_hat)), pa, pb)
+        return None, pa if ga <= 0.0 else pb
+    root = _bisection(lambda x, *at: p.grad(x, lambda: _path(_bisection, left, *at)), pa, pb)
+    return root, root
 
 
 def _best_response_full(
@@ -420,19 +406,11 @@ def _best_response_full(
         return lo
     p = _OwnRate(i, rates, lo, hi, _COARSE_GRID, cfg)
     # The sequential search reads the golden section first; the polish runs
-    # first here so that its root is the golden section's x_hat, and a
-    # gradient error waits for whatever the golden section raises.
-    failure = None
-    try:
-        root = _polish(p, max(lo, p.a - _GOLDEN_WIDTH), min(hi, p.b + _GOLDEN_WIDTH))
-    except InfeasibleRates as e:
-        root, failure = None, e
-    if root is not None:
-        p.x_hat = root
-        p.pending.append(root)
-    best_x, best_u = _golden_max(p, p.a, p.b)
-    if failure is not None:
-        raise failure
+    # first here so that its root steers the golden section's guesses, and
+    # its error is raised at once: the golden section reads only [lo, hi],
+    # where every utility is feasible, so it cannot raise.
+    root, x_hat = _polish(p, max(lo, p.a - _GOLDEN_WIDTH), min(hi, p.b + _GOLDEN_WIDTH))
+    best_x, best_u = _golden_max(p, p.a, p.b, x_hat)
     if root is not None:
         u_root = p.util(root)
         if u_root > best_u:
@@ -711,10 +689,12 @@ def solve(cfg: GameConfig, opts: SolverOptions | None = None) -> EquilibriumResu
     if opts.init_rates is not None:
         r = _as_profile(opts.init_rates, cfg, "init_rates").copy()
     else:
-        r = np.full(n, opts.min_rate + 0.1)
-        if not _profile_feasible(r, cfg):
-            # too many sensors for that start: share half the load equally
-            r = np.maximum(-cfg.bandwidths * np.log2(1.0 - 0.5 / n), opts.min_rate)
+        # min_rate + 0.1 each; where that is infeasible (too many sensors or a
+        # cap), equal shares of the load 0.5, 0.25, ..., 2^-10, then min_rate
+        shares = [np.maximum(-cfg.bandwidths * np.log2(1.0 - 0.5**k / n), opts.min_rate)
+                  for k in range(1, 11)]
+        starts = (np.full(n, opts.min_rate + 0.1), *shares)
+        r = next((s for s in starts if _profile_feasible(s, cfg)), np.full(n, opts.min_rate))
     invert_rates(r, cfg)       # initial profile must be feasible
 
     stepper = _STEPPERS[opts.method]
@@ -806,6 +786,6 @@ def verify_epsilon_ne(
     for i in range(cfg.n_sensors):
         hi = rate_upper_bound(i, r_star, cfg, min_rate)
         p = _OwnRate(i, r_star, min_rate, hi, grid_points, cfg)
-        u_best = max(_golden_max(p, p.a, p.b)[1], p.top)
+        u_best = max(_golden_max(p, p.a, p.b, p.x_hat)[1], p.top)
         worst = max(worst, u_best - float(base[i]))
     return worst <= epsilon, worst

@@ -25,7 +25,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -40,19 +40,9 @@ EXIT_NONCONVERGENCE = 5
 EXIT_EXISTENCE = 6
 EXIT_VERIFY = 7
 
-_SENSOR_FIELDS = (
-    "bandwidth",
-    "channel_gain",
-    "ap_distance",
-    "path_loss_exp",
-    "circuit_power",
-    "unit_rate_price",
-    "beacon_distance",
-    "max_received_power",
-)
-_OPTIONAL_SENSOR_FIELDS = ("max_received_power",)
-_BLOCKCHAIN_FIELDS = ("quad_coeff", "lin_coeff", "const_coeff", "compute_coeff")
-_TOP_FIELDS = ("sensors", "noise_variance", "power_price", "wpt_path_loss_exp", "blockchain")
+# The objects of a config document, by key prefix, and the types they build;
+# each object's fields are its type's init fields.
+_OBJECTS = {"": GameConfig, "sensors.": SensorParams, "blockchain.": BlockchainParams}
 
 
 class ConfigError(Exception):
@@ -70,7 +60,7 @@ def _read_doc(path: str) -> dict:
     except OSError as e:
         raise ConfigError(f"cannot read config {path!r}: {e}") from e
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=float)   # a huge integer reads as inf
     except json.JSONDecodeError as e:
         raise ConfigError(
             f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}"
@@ -80,27 +70,46 @@ def _read_doc(path: str) -> dict:
     return doc
 
 
-def _check_fields(doc: dict, fields: tuple, prefix: str):
-    for key in fields:
-        if key not in doc:
-            raise ConfigError(f"missing required field '{prefix}{key}'")
-    for key in doc:
-        if key not in fields:
-            raise ConfigError(f"unknown field '{prefix}{key}'")
+def _init_fields(cls) -> dict:
+    """The fields of one of _OBJECTS, name -> default (MISSING if required)."""
+    return {f.name: f.default for f in fields(cls) if f.init}
+
+
+# every number of a document; a sensor field's broadcasts to all sensors
+_SCALAR_PATHS = [prefix + key for prefix, cls in _OBJECTS.items()
+                 for key in _init_fields(cls) if f"{prefix}{key}." not in _OBJECTS]
+
+
+def _check_fields(doc: dict, prefix: str) -> dict:
+    """The fields of _OBJECTS[prefix], once doc has every required one and
+    no other; the sensor object is checked for unknown fields first."""
+    known = _init_fields(_OBJECTS[prefix])
+    missing = [key for key, default in known.items()
+               if key not in doc and default is MISSING]
+    unknown = [key for key in doc if key not in known]
+    if unknown and prefix == "sensors.":
+        raise ConfigError(f"unknown sensor field 'sensors.{unknown[0]}'")
+    if missing:
+        raise ConfigError(f"missing required field '{prefix}{missing[0]}'")
+    if unknown:
+        raise ConfigError(f"unknown field '{prefix}{unknown[0]}'")
+    return known
+
+
+def _number(value, path: str, kind: str = "a number") -> float:
+    """A JSON number (not a bool) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"field '{path}' must be {kind}")
+    return float(value)
 
 
 def _build_config(doc: dict) -> GameConfig:
-    _check_fields(doc, _TOP_FIELDS, "")
+    top = _check_fields(doc, "")
 
     sensors_doc = doc["sensors"]
     if not isinstance(sensors_doc, dict):
         raise ConfigError("'sensors' must be an object of per-sensor fields")
-    for key in sensors_doc:
-        if key not in _SENSOR_FIELDS:
-            raise ConfigError(f"unknown sensor field 'sensors.{key}'")
-    for key in _SENSOR_FIELDS:
-        if key not in sensors_doc and key not in _OPTIONAL_SENSOR_FIELDS:
-            raise ConfigError(f"missing required field 'sensors.{key}'")
+    sensor_fields = _check_fields(sensors_doc, "sensors.")
 
     n = None
     for key, value in sensors_doc.items():
@@ -120,44 +129,33 @@ def _build_config(doc: dict) -> GameConfig:
     if n == 0:
         raise ConfigError("sensor arrays must not be empty")
 
-    def sensor_column(key: str) -> list[float]:
-        if key not in sensors_doc:
-            return [model.DEFAULT_POWER_CAP] * n
-        value = sensors_doc[key]
-        if isinstance(value, list):
-            return [float(v) for v in value]
-        return [float(value)] * n
-
-    columns = {key: sensor_column(key) for key in _SENSOR_FIELDS}
+    columns = {}
+    for key, default in sensor_fields.items():
+        value = sensors_doc.get(key, default)
+        columns[key] = [_number(v, f"sensors.{key}", "a number or an array of numbers")
+                        for v in (value if isinstance(value, list) else [value] * n)]
     sensors = []
     for i in range(n):
         try:
-            sensors.append(
-                SensorParams(**{key: columns[key][i] for key in _SENSOR_FIELDS})
-            )
-        except (TypeError, ValueError) as e:
+            sensors.append(SensorParams(**{key: col[i] for key, col in columns.items()}))
+        except ValueError as e:
             raise ConfigError(f"sensor {i + 1}: {e}") from e
 
     bc_doc = doc["blockchain"]
     if not isinstance(bc_doc, dict):
         raise ConfigError("'blockchain' must be an object")
-    _check_fields(bc_doc, _BLOCKCHAIN_FIELDS, "blockchain.")
+    bc_fields = _check_fields(bc_doc, "blockchain.")
     try:
         blockchain = BlockchainParams(
-            **{key: float(bc_doc[key]) for key in _BLOCKCHAIN_FIELDS}
+            **{key: _number(bc_doc[key], f"blockchain.{key}") for key in bc_fields}
         )
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise ConfigError(f"blockchain: {e}") from e
 
+    scalars = {key: _number(doc[key], key) for key in top if key in _SCALAR_PATHS}
     try:
-        return GameConfig(
-            sensors=sensors,
-            noise_variance=float(doc["noise_variance"]),
-            power_price=float(doc["power_price"]),
-            wpt_path_loss_exp=float(doc["wpt_path_loss_exp"]),
-            blockchain=blockchain,
-        )
-    except (TypeError, ValueError) as e:
+        return GameConfig(sensors=sensors, blockchain=blockchain, **scalars)
+    except ValueError as e:
         raise ConfigError(str(e)) from e
 
 
@@ -168,17 +166,12 @@ def load_config(path: str) -> GameConfig:
 
 def config_to_dict(cfg: GameConfig) -> dict:
     """Serialize a GameConfig back into its document form."""
-    return {
-        "sensors": {
-            key: [getattr(s, key) for s in cfg.sensors] for key in _SENSOR_FIELDS
-        },
-        "noise_variance": cfg.noise_variance,
-        "power_price": cfg.power_price,
-        "wpt_path_loss_exp": cfg.wpt_path_loss_exp,
-        "blockchain": {
-            key: getattr(cfg.blockchain, key) for key in _BLOCKCHAIN_FIELDS
-        },
-    }
+    doc = {key: getattr(cfg, key) for key in _init_fields(GameConfig)}
+    doc["sensors"] = {key: [getattr(s, key) for s in cfg.sensors]
+                      for key in _init_fields(SensorParams)}
+    doc["blockchain"] = {key: getattr(cfg.blockchain, key)
+                         for key in _init_fields(BlockchainParams)}
+    return doc
 
 
 def save_config(cfg: GameConfig, path: str):
@@ -189,13 +182,13 @@ def save_config(cfg: GameConfig, path: str):
 
 def _set_param(doc: dict, path: str, value: float):
     """Assign one sweep value into a config document, in place."""
+    if path not in _SCALAR_PATHS:
+        raise ConfigError(f"unknown sweep parameter path '{path}'")
     head, _, key = path.partition(".")
-    if not key and head in ("noise_variance", "power_price", "wpt_path_loss_exp"):
-        doc[head] = value
-    elif key in {"blockchain": _BLOCKCHAIN_FIELDS, "sensors": _SENSOR_FIELDS}.get(head, ()):
+    if key:
         doc[head][key] = value      # a sensor field is a scalar broadcast to all
     else:
-        raise ConfigError(f"unknown sweep parameter path '{path}'")
+        doc[head] = value
 
 
 # ---------------------------------------------------------------------------

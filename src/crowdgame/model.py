@@ -33,7 +33,7 @@ after the kernel reports infeasibility, so every path gives the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,9 +42,6 @@ LN2 = math.log(2.0)
 #: Feasibility margin on the load T = sum_j gamma_j/(1+gamma_j); rate vectors
 #: with T >= 1 - margin are rejected (powers would blow up).
 DEFAULT_FEASIBILITY_MARGIN = 1e-9
-
-#: Power cap applied when a sensor does not specify max_received_power.
-DEFAULT_POWER_CAP = 10.0
 
 _STACK_SIZE = 1 << 16   # rates per stacked kernel call, bounding its memory
 
@@ -93,15 +90,11 @@ class SensorParams:
     circuit_power: float      # c_i, fixed sensing/circuit drain
     unit_rate_price: float    # lambda_i, revenue per unit rate
     beacon_distance: float    # d^t_i, sensor to RF-energy beacon
-    max_received_power: float = DEFAULT_POWER_CAP  # p^u_i
+    max_received_power: float = 10.0   # p^u_i, the cap where none is given
 
     def __post_init__(self):
-        for name in (
-            "bandwidth", "channel_gain", "ap_distance", "path_loss_exp",
-            "circuit_power", "unit_rate_price", "beacon_distance",
-            "max_received_power",
-        ):
-            _require(math.isfinite(getattr(self, name)), name, "must be finite")
+        for f in fields(self):
+            _require(math.isfinite(getattr(self, f.name)), f.name, "must be finite")
         _require(self.bandwidth > 0, "bandwidth", "must be > 0")
         _require(self.channel_gain > 0, "channel_gain", "must be > 0")
         _require(self.ap_distance > 0, "ap_distance", "must be > 0")
@@ -126,10 +119,10 @@ class BlockchainParams:
     compute_coeff: float   # m, computational power per unit rate
 
     def __post_init__(self):
-        for name in ("quad_coeff", "lin_coeff", "const_coeff", "compute_coeff"):
-            v = getattr(self, name)
-            _require(math.isfinite(v), name, "must be finite")
-            _require(v >= 0, name, "must be >= 0")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            _require(math.isfinite(v), f.name, "must be finite")
+            _require(v >= 0, f.name, "must be >= 0")
         _require(self.compute_coeff > 0, "compute_coeff", "must be > 0")
 
     @property
@@ -174,7 +167,7 @@ class GameConfig:
         # eta = 0 is allowed: charging cost then ignores beacon distance
         for name in ("power_price", "wpt_path_loss_exp"):
             _require(0 <= getattr(self, name) < math.inf, name, "must be finite and >= 0")
-        grab = lambda name: np.array([getattr(s, name) for s in self.sensors])
+        grab = lambda name: np.array([getattr(s, name) for s in self.sensors], dtype=float)
         self.bandwidths = grab("bandwidth")
         self.gains = grab("channel_gain")
         self.ap_distances = grab("ap_distance")
@@ -492,18 +485,18 @@ def _gradient(r: np.ndarray, cfg: GameConfig, i=...):
     return cfg.rate_prices[i] - dpower_cost - dfee
 
 
-def _own_gradients(i: int, r: np.ndarray, x: np.ndarray, cfg: GameConfig):
-    """(g, load): _gradient(r, cfg, i) with r_i = x[q], the others fixed at r,
-    and that profile's load; g is NaN where _gradient raises.  Never raises."""
-    g, load = np.empty(x.size), np.empty(x.size)
+def _own_gradients(i: int, r: np.ndarray, x: np.ndarray, cfg: GameConfig) -> np.ndarray:
+    """_gradient(r, cfg, i) with r_i = x[q], the others fixed at r; NaN where
+    _gradient raises.  Never raises."""
+    g = np.empty(x.size)
     bc = cfg.blockchain
     am2 = bc.quad_coeff * bc.compute_coeff**2
     for q, Q, at in _own_rows(r[None], None, i, x):
         z = np.exp2(-(Q / cfg.bandwidths))
         t = 1.0 - z
-        load[q] = t.sum(axis=1)
-        ok = load[q] < 1.0 - DEFAULT_FEASIBILITY_MARGIN
-        eps = np.where(ok, 1.0 - load[q], 1.0)
+        load = t.sum(axis=1)
+        ok = load < 1.0 - DEFAULT_FEASIBILITY_MARGIN
+        eps = np.where(ok, 1.0 - load, 1.0)
         tp = (LN2 / cfg.bandwidths[i]) * z[at]
         dbeta = cfg.noise_variance * tp * (eps + t[at]) / (eps * eps)
         dpower_cost = cfg.wpt_factors[i] * cfg.inv_gain_pathloss[i] * dbeta
@@ -518,7 +511,7 @@ def _own_gradients(i: int, r: np.ndarray, x: np.ndarray, cfg: GameConfig):
         )
         g[q] = np.where(ok, cfg.rate_prices[i] - dpower_cost
                         - np.where(rho > 0.0, dfee, 0.0), np.nan)
-    return g, load
+    return g
 
 
 def utility_second_derivative(i: int, rates: RateVector, cfg: GameConfig) -> float:

@@ -19,6 +19,7 @@ from crowdgame.model import (
     BlockchainParams,
     InfeasibilityError,
     InfeasibleRates,
+    PowerBoundExceeded,
     blockchain_power,
     invert_rates,
     utility_rate_space,
@@ -227,6 +228,54 @@ def test_pinned_solve_csv_is_within_one_unit_of_the_50_digit_equilibrium(sec4_cf
     assert checked == 50
 
 
+def test_pinned_br_curve_is_within_one_unit_of_50_digit_utilities(sec4_cfg, sec4_solution):
+    mp = pytest.importorskip("mpmath")
+    cfg, bc, i = sec4_cfg, sec4_cfg.blockchain, 1       # the CLI's --sensor 2
+    rows = (REPO_ROOT / "bench" / "expected" / "br-curve.csv").read_text().splitlines()
+    rows = [row.split(",") for row in rows[1:]]
+    r = sec4_solution.rates.copy()
+    grid = np.linspace(0.1, rate_upper_bound(i, r, cfg, 0.1), 512)
+    br = equilibrium._best_response_full(i, r, cfg, 0.1)
+    assert [x for x, _, flag in rows if flag == "0"] == [f"{x:.12g}" for x in grid]
+    assert [x for x, _, flag in rows if flag == "1"] == [f"{br:.12g}"]
+    with mp.workdps(50):
+        f = mp.mpf
+        a, lin, c, m = (f(v) for v in (bc.quad_coeff, bc.lin_coeff, bc.const_coeff,
+                                       bc.compute_coeff))
+        s2, ln2 = f(cfg.noise_variance), mp.log(2)
+        band = [f(s.bandwidth) for s in cfg.sensors]
+        kappa = [f(s.ap_distance) ** f(s.path_loss_exp) / f(s.channel_gain)
+                 for s in cfg.sensors]
+        wpt = f(cfg.power_price) * f(cfg.sensors[i].beacon_distance) ** f(cfg.wpt_path_loss_exp)
+        price, circuit = f(cfg.sensors[i].unit_rate_price), f(cfg.sensors[i].circuit_power)
+        others = [f(float(v)) for v in r]
+
+        def own(x):         # (utility, own gradient) at r_i = x, the others at r
+            p = others[:i] + [x] + others[i + 1:]
+            t = [1 - mp.power(2, -p[k] / band[k]) for k in range(len(p))]
+            eps, total = 1 - mp.fsum(t), mp.fsum(p)
+            power = circuit + t[i] * s2 / eps * kappa[i]
+            fee = x / total * (a * (m * total) ** 2 + lin * m * total + c)
+            am2 = a * m**2
+            dpower = wpt * kappa[i] * s2 * ln2 / band[i] * (1 - t[i]) * (eps + t[i]) / eps**2
+            dfee = am2 * total + lin * m + c / total + x * (am2 - c / total**2)
+            return price * x - wpt * power - fee, price - dpower - dfee
+
+        checked = 0
+        for (text, utility, _), x in zip(sorted(rows, key=lambda row: row[2]),
+                                         [*grid.tolist(), br]):
+            value = own(f(x))[0]
+            unit = mp.power(10, mp.floor(mp.log10(abs(value))) - 11)
+            assert abs(mp.nint(f(utility) / unit) - mp.nint(value / unit)) <= 1, text
+            checked += 1
+        best = mp.findroot(lambda x: own(x)[1], f(br))
+        # 1.46e-10 off today: the polish bisects the float gradient, whose
+        # round-off hides the root's last digits; a Newton best response
+        # on the closed form is expected to tighten this
+        assert abs(f(rows[[flag for *_, flag in rows].index("1")][0]) - best) <= 1e-9
+    assert checked == 513
+
+
 def test_fixed_point_property(sec4_cfg, sec4_solution):
     opts = SolverOptions()
     r = sec4_solution.rates
@@ -304,6 +353,24 @@ def test_default_start_falls_back_to_an_equal_load_share(sec4_cfg):
     # 40 sensors at min_rate 0.1 already load T = 1.36: nothing is feasible
     with pytest.raises(InfeasibleRates):
         solve(_tiled(sec4_cfg, 40))
+
+
+def test_default_start_halves_the_load_share_below_a_binding_cap():
+    # the load-0.5 share needs power 1.140625 of sensor 15, past its cap 1.1
+    cfg = make_config([make_sensor()] * 15 + [make_sensor(ap_distance=1.5,
+                                                          max_received_power=1.1)])
+    with pytest.raises(PowerBoundExceeded):
+        invert_rates(-cfg.bandwidths * np.log2(1 - 0.5 / 16), cfg)
+    for min_rate in (0.05, 0.01):       # the load-0.25 share at and above the floor
+        res = solve(cfg, SolverOptions(min_rate=min_rate))
+        share = np.maximum(-cfg.bandwidths * np.log2(1 - 0.25 / 16), min_rate)
+        assert res.converged and np.array_equal(res.trace[0], share)
+    # a sensor whose cap is its circuit power can only start at rate 0
+    cfg = make_config([make_sensor(), make_sensor(max_received_power=1.0)])
+    res = solve(cfg, SolverOptions(min_rate=0.0))
+    assert np.array_equal(res.trace[0], [0.0, 0.0]) and res.converged
+    with pytest.raises(PowerBoundExceeded):
+        solve(cfg, SolverOptions(min_rate=1e-3))
 
 
 def test_solve_custom_init(sec4_cfg, sec4_solution):

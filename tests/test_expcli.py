@@ -169,6 +169,92 @@ def test_set_param_paths():
         expcli._set_param(doc, "nope", 1.0)
 
 
+def _doc_paths(doc):
+    """Every field path of a config document: 'sensors.<f>', 'blockchain.<f>'
+    and the top-level names."""
+    return [f"{key}.{sub}" if isinstance(value, dict) else key
+            for key, value in doc.items()
+            for sub in (value if isinstance(value, dict) else [None])]
+
+
+def _without(doc, path):
+    doc = json.loads(json.dumps(doc))
+    head, _, key = path.partition(".")
+    del (doc[head] if key else doc)[key or head]
+    return doc
+
+
+def test_config_schema_is_the_dataclass_fields(tmp_path):
+    from dataclasses import fields
+
+    from crowdgame.model import BlockchainParams, GameConfig, SensorParams
+
+    init = lambda cls: [f.name for f in fields(cls) if f.init]      # noqa: E731
+    schema = (init(GameConfig) + [f"sensors.{k}" for k in init(SensorParams)]
+              + [f"blockchain.{k}" for k in init(BlockchainParams)])
+    paths = _doc_paths(SINGLE_DOC)
+    assert sorted(paths + ["sensors", "blockchain"]) == sorted(schema)
+    # every field is required, except the power cap, which defaults to 10
+    for path in paths + ["sensors", "blockchain"]:
+        doc = _without(SINGLE_DOC, path)
+        if path == "sensors.max_received_power":
+            assert load_config(write_doc(tmp_path, doc)).sensors[0].max_received_power == 10.0
+            continue
+        with pytest.raises(ConfigError) as info:
+            load_config(write_doc(tmp_path, doc))
+        assert str(info.value) == f"missing required field '{path}'"
+    # an unknown field, alone and then next to a missing one: only the sensor
+    # object names the unknown field first
+    for where, lost, want in (
+        (None, "power_price", "unknown field 'colour'"),
+        ("sensors", "sensors.channel_gain", "unknown sensor field 'sensors.colour'"),
+        ("blockchain", "blockchain.lin_coeff", "unknown field 'blockchain.colour'"),
+    ):
+        doc = json.loads(json.dumps(SINGLE_DOC))
+        (doc[where] if where else doc)["colour"] = 1.0
+        both = want if where == "sensors" else f"missing required field '{lost}'"
+        for case, first in ((doc, want), (_without(doc, lost), both)):
+            with pytest.raises(ConfigError) as info:
+                load_config(write_doc(tmp_path, case))
+            assert str(info.value) == first
+    # every number can be swept, and lands in its field (two sensor arrays: a
+    # swept sensor field turns scalar, and one array must fix the count)
+    for path in paths:
+        doc = json.loads(json.dumps(SINGLE_DOC))
+        doc["sensors"]["channel_gain"] = [1.0]
+        expcli._set_param(doc, path, 1.5)
+        cfg = expcli._build_config(doc)
+        head, _, key = path.partition(".")
+        owner = {"sensors": cfg.sensors[0], "blockchain": cfg.blockchain}.get(head, cfg)
+        assert getattr(owner, key or head) == 1.5
+    for path in ("sensors", "blockchain", "sensors.colour", "blockchain.colour", "colour"):
+        with pytest.raises(ConfigError, match="unknown sweep parameter path"):
+            expcli._set_param(json.loads(json.dumps(SINGLE_DOC)), path, 1.0)
+    # a config with a defaulted power cap survives a save and a load
+    cfg = load_config(write_doc(tmp_path, _without(SINGLE_DOC, "sensors.max_received_power")))
+    save_config(cfg, str(tmp_path / "again.cfg"))
+    assert load_config(str(tmp_path / "again.cfg")) == cfg
+
+
+@pytest.mark.parametrize("value", [None, [[1.0]], {"value": 1.0}, "wide", True])
+@pytest.mark.parametrize("path", ["sensors.channel_gain", "blockchain.lin_coeff",
+                                  "power_price"])
+def test_non_numeric_config_values_exit_3_naming_the_field(tmp_path, capsys, path, value):
+    doc = json.loads(json.dumps(SINGLE_DOC))
+    expcli._set_param(doc, path, value)
+    kind = "a number or an array of numbers" if path.startswith("sensors.") else "a number"
+    assert main(["solve", "--config", write_doc(tmp_path, doc)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: field '{path}' must be {kind}\n"
+
+
+def test_a_huge_integer_reads_as_inf(tmp_path, capsys):
+    path = tmp_path / "huge.cfg"
+    text = json.dumps(SINGLE_DOC).replace('"power_price": 0.01', '"power_price": 1' + "0" * 400)
+    path.write_text(text)
+    assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: power_price: must be finite and >= 0\n"
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------

@@ -462,6 +462,25 @@ def test_best_response_matches_reference_on_boundary_and_tiled_profiles(sec4_cfg
     assert 0.0 in want[800:]
 
 
+def test_best_response_evaluates_only_finite_utilities(sec4_cfg, monkeypatch):
+    # the golden section can never raise, so the polish's error is raised at
+    # once instead of after it, as the literal search reads them
+    outputs = []
+
+    def spying(kernel):
+        def spied(*args):
+            outputs.append(kernel(*args))
+            return outputs[-1]
+        return spied
+
+    for name in ("_utility_along", "_own_utilities"):
+        monkeypatch.setattr(equilibrium, name, spying(getattr(equilibrium, name)))
+    for cfg, r, i, m in _hard_search_cases(sec4_cfg):
+        _outcome(_best_response_full, i, r, cfg, m)
+    values = np.concatenate(outputs)
+    assert values.size > 50_000 and np.isfinite(values).all()
+
+
 def test_verify_worst_gain_matches_reference_on_boundary_and_tiled_profiles(sec4_cfg):
     cases = [(cfg, r) for cfg, r, i, m in _hard_search_cases(sec4_cfg)[::20]]
     compared = 0
@@ -473,10 +492,11 @@ def test_verify_worst_gain_matches_reference_on_boundary_and_tiled_profiles(sec4
 
 
 def _gradient_outcomes(cfg, r, i, x):
-    """The stacked own-rate gradients at x, each as _outcome(_gradient) gives it."""
-    g, load = _own_gradients(i, r, x, cfg)
-    return [(InfeasibleRates, str(InfeasibleRates(lq))) if gq != gq else gq
-            for gq, lq in zip(g.tolist(), load.tolist())]
+    """The stacked own-rate gradients at x, each as _outcome(_gradient) gives
+    it: where one is NaN, what gradient_all raises there, as _OwnRate.grad does."""
+    g = _own_gradients(i, r, x, cfg)
+    return [_outcome(gradient_all, _with_entry(r, i, xq), cfg) if gq != gq else gq
+            for gq, xq in zip(g.tolist(), x.tolist())]
 
 
 def test_stacked_gradients_equal_the_scalar_gradient(sec4_cfg, monkeypatch):

@@ -57,6 +57,12 @@ def test_game_config_rejects_empty_sensor_list():
         make_config([])
 
 
+def test_game_config_mirrors_integer_constants_as_floats():
+    cfg = make_config([make_sensor(bandwidth=2, circuit_power=True)])
+    assert cfg.bandwidths.dtype == cfg.circuit_powers.dtype == np.float64
+    assert cfg.bandwidths[0] == 2.0 and cfg.circuit_powers[0] == 1.0
+
+
 # ---------------------------------------------------------------------------
 # forward rate map
 # ---------------------------------------------------------------------------
