@@ -57,11 +57,13 @@ from .model import (  # noqa: F401 (bench/tracing.py rebinds utility_rate_space)
     EquilibriumResult,
     GameConfig,
     InfeasibilityError,
+    _STACK_SIZE,
     _as_profile,
     _as_rates,
+    _curvatures,
     _fees_all,
     _invert,
-    _second_derivatives,
+    _jacobian_terms,
     _utilities_all,
     _own_gradients,
     _own_utilities,
@@ -482,9 +484,9 @@ def check_existence(
 
     condition_a is the analytic coefficient test a*m^2 - c >= 0; condition_b
     checks total rate >= 1 at the region's lower corner; numeric_concavity
-    samples the second derivative of every sensor's utility at `samples`
-    quasi-random (Halton) interior points of the box, skipping points where
-    the game is infeasible.
+    evaluates every sensor's closed-form utility_second_derivative at the
+    first `samples` feasible quasi-random (Halton) points of the box, skipping
+    exactly the infeasible ones, in batches of at most _STACK_SIZE rates.
 
     Raises:
         InfeasibilityError: the region's lower corner is already infeasible,
@@ -504,24 +506,25 @@ def check_existence(
     condition_a = cfg.blockchain.concavity_margin >= 0.0
     condition_b = float(lower.sum()) >= 1.0
 
-    # Halton points in order until `samples` are evaluated; a point is skipped
-    # where any sensor's second derivative is undefined (infeasible).
+    # Halton points in order until `samples` feasible ones are evaluated; the
+    # infeasible ones are skipped.  A batch stays within _STACK_SIZE rates.
     worst_value, worst_sensor, worst_point = -math.inf, -1, lower.copy()
     evaluated = skipped = 0
-    limit = 200 * samples
-    for start in range(0, limit, 256):
-        batch = lower + _halton(start, min(256, limit - start), n) * (upper - lower)
-        values, ok, _ = _second_derivatives(batch, cfg, np.arange(n))
-        fine = ok.all(axis=1)
+    limit, size = 200 * samples, min(256, max(1, _STACK_SIZE // n))
+    for start in range(0, limit, size):
+        batch = lower + _halton(start, min(size, limit - start), n) * (upper - lower)
+        fine = _invert(batch, cfg)[4]
         used = int(np.searchsorted(np.cumsum(fine), samples - evaluated)) + 1
-        batch, values, ok, fine = batch[:used], values[:used], ok[:used], fine[:used]
+        batch, fine = batch[:used], fine[:used]
         skipped += int((~fine).sum())
         evaluated += int(fine.sum())
-        best = np.where(fine, values.max(axis=1), -math.inf)
-        k = int(np.argmax(best))            # the first of the largest
-        if best[k] > worst_value:
-            worst_value, worst_sensor = float(best[k]), int(np.argmax(values[k]))
-            worst_point = batch[k].copy()
+        values = _curvatures(batch[fine], cfg)
+        if values.size:
+            best = values.max(axis=1)
+            k = int(np.argmax(best))            # the first of the largest
+            if best[k] > worst_value:
+                worst_value, worst_sensor = float(best[k]), int(np.argmax(values[k]))
+                worst_point = batch[fine][k]
         if evaluated >= samples:
             break
     if evaluated < samples:
@@ -549,28 +552,12 @@ def check_existence(
 # ---------------------------------------------------------------------------
 
 def _foc_hessian(r: np.ndarray, cfg: GameConfig) -> np.ndarray:
-    """Analytic Jacobian H[i, j] = d(du_i/dr_i)/dr_j of the pseudo-gradient."""
-    n = cfg.n_sensors
-    x = r / cfg.bandwidths
-    z = np.exp2(-x)
-    t = 1.0 - z
-    eps = 1.0 - float(t.sum())
-    tp = (LN2 / cfg.bandwidths) * z
-    tpp = -((LN2 / cfg.bandwidths) ** 2) * z
-    s2 = cfg.noise_variance
-    kap = cfg.wpt_factors * cfg.inv_gain_pathloss
-    big = 2.0 * (t + eps) / eps**3
-    # charging-cost curvature d P'_i / d r_j
-    P = (kap * s2 * tp)[:, None] * tp[None, :] * (big[:, None] - 1.0 / eps**2)
-    np.fill_diagonal(P, kap * s2 * (tpp * (t + eps) / eps**2 + tp * tp * big))
-    # fee curvature; the cross term is constant along each row
-    bc = cfg.blockchain
-    rho = float(r.sum())
-    am2 = bc.quad_coeff * bc.compute_coeff**2
-    row = am2 - bc.const_coeff / rho**2 + 2.0 * bc.const_coeff * r / rho**3
-    F = np.repeat(row[:, None], n, axis=1)
-    np.fill_diagonal(F, row + am2 - bc.const_coeff / rho**2)
-    return -P - F
+    """Analytic Jacobian H[i, j] = d(du_i/dr_i)/dr_j of the pseudo-gradient;
+    its diagonal is the own curvatures, _curvatures(r, cfg)."""
+    d2u, a, tp, c, row = _jacobian_terms(r, cfg)
+    H = -(a[:, None] * tp[None, :] * c[:, None]) - row[:, None]
+    np.fill_diagonal(H, d2u)
+    return H
 
 
 def _foc_residual(r: np.ndarray, cfg: GameConfig, min_rate: float) -> float:

@@ -74,6 +74,9 @@ class PowerBoundExceeded(InfeasibilityError):
         self.cap = cap
 
 
+_NOT_BOOL = "must be a number, not a bool"
+
+
 def _require(cond: bool, name: str, msg: str):
     if not cond:
         raise ValueError(f"{name}: {msg}")
@@ -94,7 +97,9 @@ class SensorParams:
 
     def __post_init__(self):
         for f in fields(self):
-            _require(math.isfinite(getattr(self, f.name)), f.name, "must be finite")
+            v = getattr(self, f.name)
+            _require(not isinstance(v, (bool, np.bool_)), f.name, _NOT_BOOL)
+            _require(math.isfinite(v), f.name, "must be finite")
         _require(self.bandwidth > 0, "bandwidth", "must be > 0")
         _require(self.channel_gain > 0, "channel_gain", "must be > 0")
         _require(self.ap_distance > 0, "ap_distance", "must be > 0")
@@ -121,6 +126,7 @@ class BlockchainParams:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
+            _require(not isinstance(v, (bool, np.bool_)), f.name, _NOT_BOOL)
             _require(math.isfinite(v), f.name, "must be finite")
             _require(v >= 0, f.name, "must be >= 0")
         _require(self.compute_coeff > 0, "compute_coeff", "must be > 0")
@@ -160,6 +166,8 @@ class GameConfig:
 
     def __post_init__(self):
         _require(len(self.sensors) >= 1, "sensors", "need at least one sensor")
+        for name in ("noise_variance", "power_price", "wpt_path_loss_exp"):
+            _require(not isinstance(getattr(self, name), (bool, np.bool_)), name, _NOT_BOOL)
         _require(
             math.isfinite(self.noise_variance) and self.noise_variance > 0,
             "noise_variance", "must be finite and > 0",
@@ -395,11 +403,14 @@ def _utility_along(
 def _own_utilities(i: int, r: np.ndarray, x: np.ndarray, cfg: GameConfig) -> np.ndarray:
     """_utility of sensor i at each own-rate x[q], the others fixed at r;
     NaN where _utility would raise.  Never raises."""
-    p, total, ok = _own_powers(r[None], None, i, x, cfg)
-    safe = np.where(total > 0.0, total, 1.0)   # a zero total has zero fees
-    fee = x / safe * blockchain_power(safe, cfg.blockchain)
-    u = cfg.rate_prices[i] * x - cfg.wpt_factors[i] * p - fee
-    u[~ok] = np.nan
+    u = np.empty(x.size)
+    for q, Q in _own_rows(r, i, x):
+        *_, p, ok = _invert(Q, cfg)
+        total = Q.sum(axis=1)
+        safe = np.where(total > 0.0, total, 1.0)   # a zero total has zero fees
+        fee = x[q] / safe * blockchain_power(safe, cfg.blockchain)
+        u[q] = np.where(ok, cfg.rate_prices[i] * x[q] - cfg.wpt_factors[i] * p[:, i] - fee,
+                        np.nan)
     return u
 
 
@@ -451,7 +462,7 @@ def utility_gradient_analytic(i: int, rates: RateVector, cfg: GameConfig) -> flo
     (enforced by the test suite).
     """
     _check_sensor_id(i, cfg)
-    return float(_gradient(_as_profile(rates, cfg, "rates"), cfg, i))
+    return float(gradient_all(_as_profile(rates, cfg, "rates"), cfg)[i])
 
 
 def gradient_all(r: np.ndarray, cfg: GameConfig) -> np.ndarray:
@@ -459,8 +470,8 @@ def gradient_all(r: np.ndarray, cfg: GameConfig) -> np.ndarray:
     return _gradient(r, cfg)
 
 
-def _gradient(r: np.ndarray, cfg: GameConfig, i=...):
-    """d u_i / d r_i of sensor i or of all; each sum runs over the whole profile."""
+def _gradient(r: np.ndarray, cfg: GameConfig) -> np.ndarray:
+    """d u_i / d r_i of every sensor; each sum runs over the whole profile."""
     x = r / cfg.bandwidths
     z = np.exp2(-x)                 # 2^(-r/b)
     t = 1.0 - z
@@ -468,9 +479,9 @@ def _gradient(r: np.ndarray, cfg: GameConfig, i=...):
     if load >= 1.0 - DEFAULT_FEASIBILITY_MARGIN:
         raise InfeasibleRates(load)
     eps = 1.0 - load
-    tp = (LN2 / cfg.bandwidths[i]) * z[i]     # dt/dr
-    dbeta = cfg.noise_variance * tp * (eps + t[i]) / (eps * eps)
-    dpower_cost = cfg.wpt_factors[i] * cfg.inv_gain_pathloss[i] * dbeta
+    tp = (LN2 / cfg.bandwidths) * z     # dt/dr
+    dbeta = cfg.noise_variance * tp * (eps + t) / (eps * eps)
+    dpower_cost = cfg.wpt_factors * cfg.inv_gain_pathloss * dbeta
     bc = cfg.blockchain
     rho = float(r.sum())
     am2 = bc.quad_coeff * bc.compute_coeff**2
@@ -480,34 +491,33 @@ def _gradient(r: np.ndarray, cfg: GameConfig, i=...):
             am2 * rho
             + bc.lin_coeff * bc.compute_coeff
             + bc.const_coeff / rho
-            + r[i] * (am2 - bc.const_coeff / rho**2)
+            + r * (am2 - bc.const_coeff / rho**2)
         )
-    return cfg.rate_prices[i] - dpower_cost - dfee
+    return cfg.rate_prices - dpower_cost - dfee
 
 
 def _own_gradients(i: int, r: np.ndarray, x: np.ndarray, cfg: GameConfig) -> np.ndarray:
-    """_gradient(r, cfg, i) with r_i = x[q], the others fixed at r; NaN where
-    _gradient raises.  Never raises."""
+    """gradient_all(r, cfg)[i] with r_i = x[q], the others fixed at r; NaN
+    where gradient_all raises.  Never raises."""
     g = np.empty(x.size)
     bc = cfg.blockchain
     am2 = bc.quad_coeff * bc.compute_coeff**2
-    for q, Q, at in _own_rows(r[None], None, i, x):
+    for q, Q in _own_rows(r, i, x):
         z = np.exp2(-(Q / cfg.bandwidths))
         t = 1.0 - z
         load = t.sum(axis=1)
         ok = load < 1.0 - DEFAULT_FEASIBILITY_MARGIN
         eps = np.where(ok, 1.0 - load, 1.0)
-        tp = (LN2 / cfg.bandwidths[i]) * z[at]
-        dbeta = cfg.noise_variance * tp * (eps + t[at]) / (eps * eps)
+        tp = (LN2 / cfg.bandwidths[i]) * z[:, i]
+        dbeta = cfg.noise_variance * tp * (eps + t[:, i]) / (eps * eps)
         dpower_cost = cfg.wpt_factors[i] * cfg.inv_gain_pathloss[i] * dbeta
         rho = Q.sum(axis=1)
         safe = np.where(rho > 0.0, rho, 1.0)    # a zero total has no fees
-        rho2 = np.array([v**2 for v in safe.tolist()])  # Python's pow, as _gradient
         dfee = (
             am2 * safe
             + bc.lin_coeff * bc.compute_coeff
             + bc.const_coeff / safe
-            + x[q] * (am2 - bc.const_coeff / rho2)
+            + x[q] * (am2 - bc.const_coeff / _pow(safe, 2))
         )
         g[q] = np.where(ok, cfg.rate_prices[i] - dpower_cost
                         - np.where(rho > 0.0, dfee, 0.0), np.nan)
@@ -515,11 +525,11 @@ def _own_gradients(i: int, r: np.ndarray, x: np.ndarray, cfg: GameConfig) -> np.
 
 
 def utility_second_derivative(i: int, rates: RateVector, cfg: GameConfig) -> float:
-    """d^2 u_i / d r_i^2 at an interior rate profile.
+    """d^2 u_i / d r_i^2 at an interior rate profile, in closed form: the
+    diagonal of the pseudo-gradient Jacobian (_jacobian_terms).
 
-    The charging-cost term is evaluated by a second central difference of the
-    inverted power p_i(r_i); the fee term has the closed form
-    -2*a*m^2 + 2*c*sum_{j != i} r_j / (sum_j r_j)^3.
+    Raises ValueError where r_i <= 0 or a rate is not finite and >= 0, and
+    InfeasibleRates or PowerBoundExceeded where the profile is infeasible.
     """
     _check_sensor_id(i, cfg)
     r = _as_profile(rates, cfg, "rates")
@@ -528,71 +538,53 @@ def utility_second_derivative(i: int, rates: RateVector, cfg: GameConfig) -> flo
             "utility_second_derivative needs a strictly interior r_i > 0"
         )
     invert_rates(r, cfg)        # validates, and raises if r is infeasible
-    d2u, ok, h = _second_derivatives(r[None], cfg, np.array([i]))
-    if not ok[0, 0]:            # both steps left the region: raise for the last
-        invert_rates(_with_entry(r, i, r[i] + h[0, 0]), cfg)
-        invert_rates(_with_entry(r, i, r[i] - h[0, 0]), cfg)
-    return float(d2u[0, 0])
+    return float(_curvatures(r, cfg)[i])
 
 
-def _second_derivatives(R: np.ndarray, cfg: GameConfig, sensors: np.ndarray):
-    """utility_second_derivative of each of `sensors` at every row of R (k, n).
+def _curvatures(R: np.ndarray, cfg: GameConfig) -> np.ndarray:
+    """d^2 u_i / d r_i^2 of every sensor at a feasible profile (n,) or at each
+    row of a stack (k, n)."""
+    return _jacobian_terms(R, cfg)[0]
 
-    Returns (d2u, ok, h), each (k, len(sensors)), and never raises: ok is
-    False where r_i <= 0, the row is infeasible, or its +-h rows are still
-    infeasible after the retry at h/10 (h is then that last step).
-    """
-    k, m = R.shape[0], sensors.size
-    rows, own = np.repeat(np.arange(k), m), np.tile(sensors, k)
-    x = R[rows, own]
-    h = np.maximum(1e-4, 1e-4 * x)
-    h = np.where(x - h < 0.0, 0.5 * x, h)
-    p0, rho, todo = _own_powers(R, rows, own, x, cfg)
-    todo &= x > 0.0
-    ok = todo.copy()
-    d2p = np.zeros(x.size)
-    for shrink in (1.0, 0.1):   # step h, then h/10 where a +-h row is infeasible
-        h[todo] *= shrink
-        q = np.nonzero(todo)[0]
-        pp, _, ok_p = _own_powers(R, rows[q], own[q], x[q] + h[q], cfg)
-        pm, _, ok_m = _own_powers(R, rows[q], own[q], x[q] - h[q], cfg)
-        good = ok_p & ok_m
-        q = q[good]
-        d2p[q] = (pp[good] - 2.0 * p0[q] + pm[good]) / (h[q] * h[q])
-        todo[q] = False
-    ok &= ~todo
+
+def _jacobian_terms(R: np.ndarray, cfg: GameConfig):
+    """(d2u, a, tp, c, row) of the pseudo-gradient Jacobian H[i, j] =
+    d(du_i/dr_i)/dr_j at a feasible profile (n,) or at each row of (k, n):
+    H[i, i] = d2u_i and, off the diagonal, H[i, j] = -a_i tp_j c_i - row_i.
+    Powers of the load margin eps and of the total rate rho go through _pow,
+    so a profile and each row of a stack give the same floats."""
+    z = np.exp2(-(R / cfg.bandwidths))
+    t = 1.0 - z
+    eps = 1.0 - t.sum(axis=-1, keepdims=True)
+    rho = R.sum(axis=-1, keepdims=True)
+    e2, rho2 = _pow(eps, 2), _pow(rho, 2)
+    lb = LN2 / cfg.bandwidths
+    tp, tpp = lb * z, -(lb**2) * z          # dt/dr, d^2t/dr^2
+    ks2 = cfg.wpt_factors * cfg.inv_gain_pathloss * cfg.noise_variance
+    te = t + eps
+    big = 2.0 * te / _pow(eps, 3)
+    d2p = ks2 * (tpp * te / e2 + tp * tp * big)     # of the charging cost
     bc = cfg.blockchain
     am2 = bc.quad_coeff * bc.compute_coeff**2
-    rho = rho[ok]
-    rho3 = np.array([v**3 for v in rho.tolist()])   # Python's pow; numpy's cube differs
-    fee_term = -2.0 * am2 + 2.0 * bc.const_coeff * (rho - x[ok]) / rho3
-    d2u = np.full(x.size, np.nan)
-    d2u[ok] = -cfg.wpt_factors[own[ok]] * d2p[ok] + fee_term
-    return d2u.reshape(k, m), ok.reshape(k, m), h.reshape(k, m)
+    row = am2 - bc.const_coeff / rho2 + 2.0 * bc.const_coeff * R / _pow(rho, 3)
+    d2u = -d2p - (row + am2 - bc.const_coeff / rho2)
+    return d2u, ks2 * tp, tp, big - 1.0 / e2, row
 
 
-def _own_powers(R, rows, own, x, cfg: GameConfig):
-    """p_i, total rate and feasibility of each profile of _own_rows(R, rows, own, x)."""
-    p, total, ok = np.empty(x.size), np.empty(x.size), np.empty(x.size, dtype=bool)
-    for q, Q, at in _own_rows(R, rows, own, x):
-        *_, P, ok[q] = _invert(Q, cfg)
-        p[q], total[q] = P[at], Q.sum(axis=1)
-    return p, total, ok
+def _pow(a: np.ndarray, k: int) -> np.ndarray:
+    """a**k by Python's pow, entry by entry; numpy's power can round apart."""
+    return np.array([v**k for v in a.ravel().tolist()]).reshape(a.shape)
 
 
-def _own_rows(R, rows, own, x):
-    """Chunks (q, Q, at) of the profiles R[rows[q]] with entry i = own[q] set to
-    x[q], at most _STACK_SIZE rates each; Q[at] are those entries.  With rows
-    None, every profile is R[0] and own is one sensor."""
-    step = max(1, _STACK_SIZE // R.shape[1])
+def _own_rows(r: np.ndarray, i: int, x: np.ndarray):
+    """Chunks (q, Q) of the profiles r with entry i set to x[q], at most
+    _STACK_SIZE rates each."""
+    step = max(1, _STACK_SIZE // r.size)
     for s in range(0, x.size, step):
         q = slice(s, min(s + step, x.size))
-        if rows is None:
-            Q, at = np.repeat(R[:1], q.stop - s, axis=0), (slice(None), own)
-        else:
-            Q, at = R[rows[q]], (np.arange(q.stop - s), own[q])
-        Q[at] = x[q]
-        yield q, Q, at
+        Q = np.repeat(r[None], q.stop - s, axis=0)
+        Q[:, i] = x[q]
+        yield q, Q
 
 
 def _with_entry(r: np.ndarray, i: int, value: float) -> np.ndarray:

@@ -6,9 +6,11 @@ gradient arithmetic; the searches below are built only on the public
 feasibility by catching exceptions, and evaluate every grid point and every
 golden-section and bisection probe one profile at a time, in the order of
 the sequential search.  The same holds for the scalar
-copies of the grid oracle, of the finite-difference second derivative and of
-the existence check's sampling loop.  The kernel-based, stacked code must
-match them bit for bit: tests compare with `==`.
+copies of the grid oracle and of the existence check's sampling loop, which
+reads `reference_curvature`, the literal closed-form own curvature.  The
+kernel-based, stacked code must match them bit for bit: tests compare with
+`==`.  `utility_second_derivative` is a finite-difference copy that judges
+the closed form from outside, to a tolerance.
 """
 
 from __future__ import annotations
@@ -81,6 +83,25 @@ def reference_gradient(r: np.ndarray, cfg, margin: float | None = None) -> np.nd
     else:
         dfee = np.zeros_like(r)
     return cfg.rate_prices - dpower_cost - dfee
+
+
+def reference_curvature(r: np.ndarray, cfg) -> np.ndarray:
+    """Every sensor's d^2 u_i / d r_i^2 at a feasible profile, by the literal
+    vector arithmetic."""
+    x = r / cfg.bandwidths
+    z = np.exp2(-x)
+    t = 1.0 - z
+    eps = 1.0 - float(t.sum())
+    tp = (LN2 / cfg.bandwidths) * z
+    tpp = -((LN2 / cfg.bandwidths) ** 2) * z
+    kap = cfg.wpt_factors * cfg.inv_gain_pathloss
+    big = 2.0 * (t + eps) / eps**3
+    d2p = kap * cfg.noise_variance * (tpp * (t + eps) / eps**2 + tp * tp * big)
+    bc = cfg.blockchain
+    rho = float(r.sum())
+    am2 = bc.quad_coeff * bc.compute_coeff**2
+    row = am2 - bc.const_coeff / rho**2 + 2.0 * bc.const_coeff * r / rho**3
+    return -d2p - (row + am2 - bc.const_coeff / rho**2)
 
 
 def _feasible(r: np.ndarray, cfg) -> bool:
@@ -244,6 +265,8 @@ def _with_entry(r: np.ndarray, i: int, value: float) -> np.ndarray:
 
 
 def utility_second_derivative(i: int, rates, cfg) -> float:
+    """Second central difference of the inverted power, step max(1e-4, 1e-4 r_i),
+    retried once at h/10 where a +-h profile is infeasible."""
     if not 0 <= i < cfg.n_sensors:
         raise IndexError(f"sensor id {i} out of range [0, {cfg.n_sensors})")
     r = np.asarray(rates, dtype=float)
@@ -292,10 +315,11 @@ def check_existence_sampling(cfg, region, samples: int):
             batch = lower + _halton(k, 256, n) * (upper - lower)
         point = batch[k % 256]
         try:
-            values = [utility_second_derivative(i, point, cfg) for i in range(n)]
+            invert_rates(point, cfg)
         except InfeasibilityError:
             skipped += 1
             continue
+        values = reference_curvature(point, cfg)
         evaluated += 1
         j = int(np.argmax(values))
         if values[j] > worst_value:

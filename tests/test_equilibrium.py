@@ -509,15 +509,18 @@ def test_a_converged_answer_passes_its_own_certificate(seed, method):
     assert verify_epsilon_ne(res.rates, cfg, 1e-6, 2000, 0.0)[0]
 
 
-def test_every_converged_answer_passes_its_own_certificate():
-    rng = np.random.default_rng(5)
+def _certify_converged_answers(rng_seed, games, sizes, max_iter):
+    """Solve `games` seeded games, n drawn from `sizes`, by every method at
+    min_rate 0, 1e-3 and 0.1; check every converged answer against its own
+    certificate and the grid oracle, and return how many were checked."""
+    rng = np.random.default_rng(rng_seed)
     checked = 0
-    for _ in range(12):
-        n, seed = int(rng.integers(1, 9)), int(rng.integers(0, 10**6))
+    for _ in range(games):
+        n, seed = int(rng.integers(*sizes)), int(rng.integers(0, 10**6))
         cfg = _seeded_game(seed, n)
         for min_rate in (0.0, 1e-3, 0.1):
             for method in equilibrium._METHODS:
-                opts = SolverOptions(method=method, min_rate=min_rate, max_iter=300)
+                opts = SolverOptions(method=method, min_rate=min_rate, max_iter=max_iter)
                 try:
                     res = solve(cfg, opts)
                 except InfeasibilityError:
@@ -529,7 +532,17 @@ def test_every_converged_answer_passes_its_own_certificate():
                 assert np.max(np.abs(step - res.rates)) < opts.tol, case
                 assert oracle.grid_certify_ne(res.rates, cfg, 256, min_rate) <= 1e-6, case
                 checked += 1
-    assert checked >= 90
+    return checked
+
+
+def test_every_converged_answer_passes_its_own_certificate():
+    assert _certify_converged_answers(5, 12, (1, 9), 300) >= 90
+
+
+def test_every_converged_answer_passes_its_own_certificate_up_to_20_sensors():
+    # n = 20, 17 and 15; a short budget, since Gauss-Seidel at n = 20 can
+    # take seconds a solve
+    assert _certify_converged_answers(7, 3, (9, 21), 60) >= 15
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import reference_search as ref
-from conftest import make_config, make_sensor
+from conftest import make_config, make_sensor, random_feasible_rates
 from crowdgame import equilibrium, model, oracle
 from crowdgame.equilibrium import (
     SolverOptions,
     _best_response_full,
+    _foc_hessian,
     _halton,
     _profile_feasible,
     check_existence,
@@ -28,8 +29,8 @@ from crowdgame.model import (
     BlockchainParams,
     InfeasibleRates,
     PowerBoundExceeded,
+    _curvatures,
     _invert,
-    _second_derivatives,
     _own_gradients,
     _utility,
     _utility_along,
@@ -210,26 +211,32 @@ def _outcome(f, *args):
 def test_stacked_calls_stay_within_the_stack_size(sec4_cfg, monkeypatch):
     sizes = []
 
-    def recording(R, cfg, *args):
-        if R.ndim == 2:
-            sizes.append(R.size)
-        return _invert(R, cfg, *args)
+    def recording(kernel):
+        def recorded(R, cfg, *args):
+            if R.ndim == 2:
+                sizes.append(R.size)
+            return kernel(R, cfg, *args)
+        return recorded
 
-    monkeypatch.setattr(model, "_invert", recording)
+    monkeypatch.setattr(model, "_invert", recording(_invert))
     r = np.full(10, 0.2)
     grid = np.linspace(0.1, rate_upper_bound(3, r, sec4_cfg), 10_000)
     _utility_along(3, r, grid, sec4_cfg)        # the verify grid: 10^5 rates
     assert sizes and max(sizes) <= model._STACK_SIZE
-    R = 0.1 + 0.2 * _halton(0, 40, 10)
     want_u = _utility_along(3, r, grid[:37], sec4_cfg)
-    want_d2 = _second_derivatives(R, sec4_cfg, np.arange(10))
+    want_check = _report_tuple(check_existence(sec4_cfg, (0.1, 0.5), 1000))
+    monkeypatch.setattr(equilibrium, "_invert", recording(_invert))
+    monkeypatch.setattr(equilibrium, "_curvatures", recording(_curvatures))
     monkeypatch.setattr(model, "_STACK_SIZE", 50)
+    monkeypatch.setattr(equilibrium, "_STACK_SIZE", 50)
     sizes.clear()
     assert np.array_equal(_utility_along(3, r, grid[:37], sec4_cfg), want_u)
-    got_d2 = _second_derivatives(R, sec4_cfg, np.arange(10))
-    assert len(sizes) > 10 and max(sizes) <= 50
-    for got, want in zip(got_d2, want_d2):
-        assert np.array_equal(got, want, equal_nan=True)
+    assert sizes == [50] * 7 + [20]     # 37 profiles, five a call
+    sizes.clear()
+    # 1757 points, five a batch, each batch one _invert and one _curvatures
+    # call; the report does not depend on the batch size
+    assert _report_tuple(check_existence(sec4_cfg, (0.1, 0.5), 1000)) == want_check
+    assert len(sizes) == 2 * 352 and max(sizes) <= 50
 
 
 def test_grid_oracle_matches_scalar_reference(sec4_cfg):
@@ -296,6 +303,7 @@ def test_check_existence_matches_scalar_reference(sec4_cfg, single_interior_cfg)
             got = _report_tuple(got)
             assert got[:2] == want[:2] and got[3:] == want[3:]
             assert got[2] == want[2].tolist()
+            assert got[0] == utility_second_derivative(got[1], np.array(got[2]), cfg)
     report = check_existence(sec4_cfg, (0.1, 0.5), 1000)
     assert (report.details.evaluated, report.details.skipped) == (1000, 757)
     # a zero lower corner is rejected at the edge, before any sampling
@@ -306,22 +314,94 @@ def test_check_existence_matches_scalar_reference(sec4_cfg, single_interior_cfg)
 def test_second_derivative_matches_scalar_reference(sec4_cfg):
     rng = np.random.default_rng(15)
     profiles = _boundary_profiles(sec4_cfg, rng, 40)
-    # steps that leave the region at h and come back at h/10, or never do
+    # just inside each sensor's feasible boundary
     for k, i in enumerate(rng.integers(0, 10, size=40)):
         r = rng.uniform(0.05, 0.2, size=10)
         hi = rate_upper_bound(i, r, sec4_cfg, 0.0)
         r[i] = hi - (0.5e-4 if k % 2 else 1e-7) * max(1.0, hi)
         profiles.append(r)
-    profiles += [np.r_[0.0, np.full(9, 0.1)], np.r_[np.nan, np.full(9, 0.1)]]
+    rest = np.full(9, 0.1)
+    profiles += [np.r_[x, rest] for x in (0.0, -0.1, np.nan, np.inf)]
     seen = set()
     for r in profiles:
+        valid = bool(np.isfinite(r).all() and (r >= 0.0).all())
+        verdict = ref.reference_invert(r, sec4_cfg)[0] if valid else None
         for i in range(10):
-            want = _outcome(ref.utility_second_derivative, i, r, sec4_cfg)
-            assert _outcome(utility_second_derivative, i, r, sec4_cfg) == want
-            seen.add(want[0] if isinstance(want, tuple) else float)
+            got = _outcome(utility_second_derivative, i, r, sec4_cfg)
+            if r[i] <= 0.0:
+                assert got == (ValueError, "utility_second_derivative needs a "
+                                           "strictly interior r_i > 0")
+            elif not valid:
+                assert got == (ValueError, "rates must be finite and >= 0")
+            elif verdict != "ok":
+                assert got == _outcome(invert_rates, r, sec4_cfg)
+                assert got[0] is {"load": InfeasibleRates, "cap": PowerBoundExceeded}[verdict]
+            else:
+                assert got == ref.reference_curvature(r, sec4_cfg)[i]
+            seen.add(got[0] if isinstance(got, tuple) else float)
     assert seen == {float, InfeasibleRates, PowerBoundExceeded, ValueError}
-    with pytest.raises(ValueError, match="finite"):    # the copy warns here
-        utility_second_derivative(0, np.r_[0.1, np.full(9, np.inf)], sec4_cfg)
+
+
+def test_curvatures_are_the_jacobian_diagonal(sec4_cfg):
+    rng = np.random.default_rng(22)
+    cases = [(sec4_cfg, r) for r in _boundary_profiles(sec4_cfg, rng, 100)]
+    for method in equilibrium._METHODS:
+        res = solve(sec4_cfg, SolverOptions(method=method, max_iter=40))
+        cases += [(sec4_cfg, r) for r in res.trace]
+    while len(cases) < 600:
+        cfg = _random_game(rng, int(rng.integers(1, 21)))
+        cases.append((cfg, rng.uniform(0.0, 0.4, size=cfg.n_sensors)))
+    compared = 0
+    for cfg, r in cases:
+        if ref.reference_invert(r, cfg)[0] != "ok" or not r.sum() > 0.0:
+            continue
+        d2u = _curvatures(r, cfg)
+        assert np.array_equal(d2u, np.diagonal(_foc_hessian(r, cfg)))
+        assert np.array_equal(d2u, ref.reference_curvature(r, cfg))
+        assert np.array_equal(_curvatures(np.array([r, r]), cfg), [d2u, d2u])
+        compared += 1
+    assert compared >= 300
+
+
+def test_curvature_is_within_1e_11_of_50_digits(sec4_cfg):
+    mp = pytest.importorskip("mpmath")
+    cfg, bc = sec4_cfg, sec4_cfg.blockchain
+    rng = np.random.default_rng(23)
+    profiles = [solve(sec4_cfg).rates]        # the equilibrium, at load 0.99973
+    for r in random_feasible_rates(rng, cfg, 30, high=0.35, max_load=0.99):
+        profiles.append(np.maximum(r, 0.05))
+    judged = 0
+    with mp.workdps(50):
+        f = mp.mpf
+        a, lin, c, m = (f(v) for v in (bc.quad_coeff, bc.lin_coeff, bc.const_coeff,
+                                       bc.compute_coeff))
+        s2 = f(cfg.noise_variance)
+        band = [f(s.bandwidth) for s in cfg.sensors]
+        kappa = [f(s.ap_distance) ** f(s.path_loss_exp) / f(s.channel_gain)
+                 for s in cfg.sensors]
+        wpt = [f(cfg.power_price) * f(s.beacon_distance) ** f(cfg.wpt_path_loss_exp)
+               for s in cfg.sensors]
+        price = [f(s.unit_rate_price) for s in cfg.sensors]
+
+        def utility(i, rates, x):       # u_i at r_i = x, the others at rates
+            p = [f(float(v)) for v in rates]
+            p[i] = x
+            t = [1 - mp.power(2, -p[k] / band[k]) for k in range(len(p))]
+            eps, total = 1 - mp.fsum(t), mp.fsum(p)
+            fee = x / total * (a * (m * total) ** 2 + lin * m * total + c)
+            return price[i] * x - wpt[i] * t[i] * s2 / eps * kappa[i] - fee
+
+        for k, r in enumerate(profiles):
+            load = invert_rates(r, cfg)[1].load
+            for i in (range(10) if k == 0 else (k % 10, (k + 5) % 10)):
+                exact = mp.diff(lambda x: utility(i, r, x), f(float(r[i])), 2)
+                closed = utility_second_derivative(i, r, cfg)
+                assert abs(closed - exact) <= 1e-11 * abs(exact), (k, i)
+                if load <= 0.95:        # the finite difference as a judge
+                    fd = ref.utility_second_derivative(i, r, cfg)
+                    assert abs(fd - exact) <= 1e-4 * abs(exact), (k, i)
+                    judged += 1
+    assert judged >= 20
 
 
 def test_gradient_of_one_sensor_matches_the_vector_formula(sec4_cfg):
@@ -338,7 +418,6 @@ def test_gradient_of_one_sensor_matches_the_vector_formula(sec4_cfg):
         g = gradient_all(r, cfg)
         assert np.array_equal(g, ref.reference_gradient(r, cfg))
         for i in range(cfg.n_sensors):
-            assert model._gradient(r, cfg, i) == g[i]
             assert utility_gradient_analytic(i, r, cfg) == g[i]
             compared += 1
     assert compared >= 1000
@@ -491,9 +570,14 @@ def test_verify_worst_gain_matches_reference_on_boundary_and_tiled_profiles(sec4
     assert compared >= 15 and cases[-1][0].n_sensors == 160
 
 
+def _own_gradient(i, r, cfg):
+    return gradient_all(r, cfg)[i]
+
+
 def _gradient_outcomes(cfg, r, i, x):
-    """The stacked own-rate gradients at x, each as _outcome(_gradient) gives
-    it: where one is NaN, what gradient_all raises there, as _OwnRate.grad does."""
+    """The stacked own-rate gradients at x, each as _outcome(_own_gradient)
+    gives it: where one is NaN, what gradient_all raises there, as
+    _OwnRate.grad does."""
     g = _own_gradients(i, r, x, cfg)
     return [_outcome(gradient_all, _with_entry(r, i, xq), cfg) if gq != gq else gq
             for gq, xq in zip(g.tolist(), x.tolist())]
@@ -511,7 +595,7 @@ def test_stacked_gradients_equal_the_scalar_gradient(sec4_cfg, monkeypatch):
     for cfg, r in cases:
         for i in sorted({0, cfg.n_sensors // 2, cfg.n_sensors - 1}):
             x = np.linspace(0.0, 3.0, 41)   # crosses the load limit in most cases
-            want = [_outcome(model._gradient, _with_entry(r, i, xq), cfg, i) for xq in x]
+            want = [_outcome(_own_gradient, i, _with_entry(r, i, xq), cfg) for xq in x]
             assert _gradient_outcomes(cfg, r, i, x) == want
             kinds |= {float if isinstance(w, float) else w[0] for w in want}
     assert kinds == {float, InfeasibleRates}
@@ -532,7 +616,7 @@ def test_replay_table_reads_raise_the_scalar_kernels_errors(sec4_cfg):
             want = _outcome(_utility, i, _with_entry(r, i, x), sec4_cfg)
             assert _outcome(p.util, x) == want
             kinds.add(want[0] if isinstance(want, tuple) else float)
-            want = _outcome(model._gradient, _with_entry(r, i, x), sec4_cfg, i)
+            want = _outcome(_own_gradient, i, _with_entry(r, i, x), sec4_cfg)
             assert _outcome(p.grad, x) == want
             kinds.add(want[0] if isinstance(want, tuple) else float)
     assert kinds == {float, PowerBoundExceeded, InfeasibleRates}

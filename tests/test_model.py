@@ -1,13 +1,16 @@
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_config, make_sensor, random_feasible_rates
+from conftest import SEC4_BLOCKCHAIN, make_config, make_sensor, random_feasible_rates
 from crowdgame.model import (
     BlockchainParams,
     InfeasibleRates,
     PowerBoundExceeded,
+    SensorParams,
     blockchain_power,
     forward_rates,
     gradient_all,
@@ -58,9 +61,35 @@ def test_game_config_rejects_empty_sensor_list():
 
 
 def test_game_config_mirrors_integer_constants_as_floats():
-    cfg = make_config([make_sensor(bandwidth=2, circuit_power=True)])
+    cfg = make_config([make_sensor(bandwidth=2, circuit_power=1)])
     assert cfg.bandwidths.dtype == cfg.circuit_powers.dtype == np.float64
     assert cfg.bandwidths[0] == 2.0 and cfg.circuit_powers[0] == 1.0
+
+
+def _build(kind, **values):
+    """A sensor, blockchain or game of the conftest defaults, with `values`."""
+    if kind == "sensor":
+        return make_sensor(**values)
+    if kind == "blockchain":
+        return BlockchainParams(**{**asdict(SEC4_BLOCKCHAIN), **values})
+    return make_config([make_sensor()], **values)
+
+
+_SCALAR_FIELDS = (
+    [("sensor", f.name) for f in fields(SensorParams)]
+    + [("blockchain", f.name) for f in fields(BlockchainParams)]
+    + [("game", name) for name in ("noise_variance", "power_price", "wpt_path_loss_exp")]
+)
+
+
+@pytest.mark.parametrize("kind, name", _SCALAR_FIELDS)
+def test_bools_are_rejected_naming_the_field(kind, name):
+    for flag in (True, False, np.True_):
+        with pytest.raises(ValueError) as e:
+            _build(kind, **{name: flag})
+        assert str(e.value) == f"{name}: must be a number, not a bool"
+    value = int(getattr(_build(kind), name))       # an int is still a number
+    assert getattr(_build(kind, **{name: value}), name) == value
 
 
 # ---------------------------------------------------------------------------
