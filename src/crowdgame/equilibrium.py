@@ -31,15 +31,16 @@ the literal sequential loop, run on kernel values read from a table
 (`_OwnRate`).  Where the loop needs a value not in the table, it guesses its
 coming decisions from x_hat, the estimated stationary point (the bisection:
 g > 0 exactly left of x_hat; the golden section: the inner point nearer x_hat
-wins), and x, x_hat and every point of that guessed path are evaluated in one
-stacked kernel call before the loop reads on.  Every decision thus reads the
-real kernel value at the very float the sequential loop computes: the answers
-are bit-identical to one probe at a time, and a wrong guess costs one more
-stacked call, never a different bit.  Guessed points never leave the search's
-bracket.  The polish runs first and passes its root to the golden section as
-x_hat, and its gradient error is raised at once: the golden section reads
-utilities only on [min_rate, rate_upper_bound], all feasible, so it cannot
-raise first.
+wins), except for its last few steps, whose values differ only by round-off:
+there it takes both branches.  x and every guessed point are evaluated in one
+stacked kernel call, and one step function serves loop and guess alike.
+Every decision thus reads the real kernel value at the very float the
+sequential loop computes: the answers are bit-identical to one probe at a
+time, and a wrong guess costs one more stacked call, never a different bit.
+Guessed points never leave the search's bracket.  The polish runs first and
+passes its root to the golden section as x_hat, and its gradient error is
+raised at once: the golden section reads utilities only on
+[min_rate, rate_upper_bound], all feasible, so it cannot raise first.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .model import (  # noqa: F401 (bench/tracing.py rebinds utility_rate_space)
     EquilibriumResult,
     GameConfig,
     InfeasibilityError,
+    _NOT_BOOL,
     _STACK_SIZE,
     _as_profile,
     _as_rates,
@@ -81,6 +83,8 @@ _GOLDEN_WIDTH = 1e-10       # target bracket width of the golden-section stage
 _COARSE_GRID = 64           # bracketing grid points in best_response
 _FOC_TOL = 1e-11            # target residual of the Newton refinement
 _REFINE_RETRY = 50          # dynamics iterations between refinement attempts
+_GOLDEN_TAIL = 4            # last golden-section steps speculated on both sections
+_POLISH_TAIL = 2            # last bisection steps speculated on both halves
 
 Method = Literal["gauss_seidel_br", "jacobi_br", "gradient_ascent"]
 _METHODS = ("gauss_seidel_br", "jacobi_br", "gradient_ascent")
@@ -116,6 +120,9 @@ class SolverOptions:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}")
+        for name in ("step_size", "tol", "max_iter", "min_rate", "refine_after"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name}: {_NOT_BOOL}")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be finite and > 0")
         if not math.isfinite(self.step_size):
@@ -281,10 +288,10 @@ class _OwnRate:
 
     The constructor evaluates the uniform grid on [lo, hi], keeps the edges
     a, b of the cells around its first maximum `top`, and estimates x_hat, the
-    stationary point in [a, b].  A search reads a value by util(x, guess) or
-    grad(x, guess): where x is not known yet, x and the points of guess() are
-    evaluated in one stacked call.  An infeasible point is kept as NaN and
-    raises the scalar kernel's typed error only when read.
+    stationary point in [a, b].  The tables u and g hold the values known so
+    far.  util(x, guess) or grad(x, guess) reads one; a miss evaluates x and
+    the points of `guess` in one stacked call.  An infeasible point is kept as
+    NaN and raises the scalar kernel's typed error only when read.
     """
 
     def __init__(self, i, r, lo, hi, points, cfg):
@@ -299,96 +306,123 @@ class _OwnRate:
         self.g = {}
         self.x_hat = _stationary_estimate(i, r, cfg, self.a, self.b)
 
-    def util(self, x: float, guess=lambda: ()) -> float:
+    def util(self, x: float, guess=()) -> float:
         return self._read(self.u, _own_utilities, invert_rates, x, guess)
 
-    def grad(self, x: float, guess=lambda: ()) -> float:
+    def grad(self, x: float, guess=()) -> float:
         return self._read(self.g, _own_gradients, gradient_all, x, guess)
 
     def _read(self, table, stacked, scalar, x, guess):
         if x not in table:
-            todo = [y for y in dict.fromkeys([x, *guess()]) if y not in table]
-            values = stacked(self.i, self.r, np.array(todo), self.cfg)
-            table.update(zip(todo, values.tolist()))
+            todo = [x, *[y for y in guess if y not in table]]
+            table.update(zip(todo, stacked(self.i, self.r, np.array(todo), self.cfg).tolist()))
         v = table[x]
         if v != v:
             scalar(_with_entry(self.r, self.i, x), self.cfg)     # raises
         return v
 
 
-def _golden_from(f, a: float, b: float, x1: float, x2: float) -> tuple[float, float]:
-    """Golden-section maximization from the bracket (a, b) with inner points
-    x1 < x2 down to bracket width _GOLDEN_WIDTH: (argmax, max) of f over the
-    last bracket's ends and midpoint.  f(x, a, b, x1, x2) is the value at x,
-    read where the bracket is (a, b, x1, x2).
+def _golden_step(a, b, x1, x2, left):
+    """One golden-section step from the bracket (a, b) with inner points
+    x1 < x2: the next (a, b, x1, x2), keeping the left section if `left`.
+    Its new point, x1 if left else x2, is the one read next."""
+    if left:
+        return a, x2, x2 - _GOLDEN * (x2 - a), x1
+    return x1, b, x2, x1 + _GOLDEN * (b - x1)
 
-    Ties between probe values resolve toward the smaller argument.
-    """
-    f1, f2 = f(x1, a, b, x1, x2), f(x2, a, b, x1, x2)
-    while b - a > _GOLDEN_WIDTH:
-        if f1 >= f2:            # keep the left section on ties
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1, a, b, x1, x2)
+
+def _bisect_step(pa, pb, pm, positive):
+    """One step of the polish's bisection of (pa, pb) on the gradient sign at
+    its midpoint pm: the kept half, its midpoint (read next, or the root), and
+    whether the step was the last."""
+    pa, pb = (pm, pb) if positive else (pa, pm)
+    return pa, pb, 0.5 * (pa + pb), pb - pa <= 1e-15 * max(1.0, pa)
+
+
+def _golden_guess(a, b, x1, x2, x_hat) -> list:
+    """The points the golden section reads after the bracket (a, b, x1, x2),
+    if every step keeps the section whose inner point is nearer x_hat; from
+    width _GOLDEN_WIDTH / _GOLDEN**_GOLDEN_TAIL on, where the compared values
+    differ by round-off, the new points of both sections at every step and
+    each final bracket's midpoint."""
+    points, tail = [], _GOLDEN_WIDTH / _GOLDEN**_GOLDEN_TAIL
+    while b - a > tail:
+        left = abs(x1 - x_hat) <= abs(x2 - x_hat)
+        a, b, x1, x2 = _golden_step(a, b, x1, x2, left)
+        points.append(x1 if left else x2)
+    stack = [(a, b, x1, x2)]
+    while stack:
+        a, b, x1, x2 = stack.pop()
+        if b - a > _GOLDEN_WIDTH:
+            kept = _golden_step(a, b, x1, x2, True), _golden_step(a, b, x1, x2, False)
+            points += kept[0][2], kept[1][3]
+            stack += kept
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2, a, b, x1, x2)
-    mid = 0.5 * (a + b)
-    best_x, best_u = a, f(a, a, b, x1, x2)
-    for x, u in ((mid, f(mid, a, b, x1, x2)), (b, f(b, a, b, x1, x2))):
-        if u > best_u:
-            best_x, best_u = x, u
-    return best_x, best_u
+            points.append(0.5 * (a + b))
+    return points
 
 
-def _bisection(g, pa: float, pb: float) -> float:
-    """The polish's bisection of [pa, pb] on the sign of the gradient; g(pm,
-    pa, pb) is the gradient at the midpoint pm of (pa, pb).  Returns the root."""
-    for _ in range(200):
-        pm = 0.5 * (pa + pb)
-        if g(pm, pa, pb) > 0.0:
-            pa = pm
-        else:
-            pb = pm
-        if pb - pa <= 1e-15 * max(1.0, pa):
-            break
-    return 0.5 * (pa + pb)
-
-
-def _path(search, decide, *state) -> list:
-    """The points search(f, *state) reads if f decides as decide(x) does:
-    the guessed path that a miss evaluates in one stacked call."""
-    seen = []
-    search(lambda x, *_: seen.append(x) or decide(x), *state)
-    return seen
+def _bisect_guess(pa, pb, pm, x_hat) -> list:
+    """The midpoints the bisection reads after pm, if the gradient is positive
+    exactly left of x_hat; from width 2**_POLISH_TAIL times its stopping
+    width on, the midpoints of both halves at every step."""
+    points, tail, done = [], 2.0**_POLISH_TAIL * 1e-15 * max(1.0, pa), False
+    while not done and pb - pa > tail:
+        pa, pb, pm, done = _bisect_step(pa, pb, pm, pm < x_hat)
+        points.append(pm)
+    stack = [] if done else [(pa, pb, pm)]
+    while stack:
+        pa, pb, pm = stack.pop()
+        for positive in (True, False):
+            qa, qb, qm, done = _bisect_step(pa, pb, pm, positive)
+            if not done:
+                points.append(qm)
+                stack.append((qa, qb, qm))
+    return points
 
 
 def _golden_max(p: _OwnRate, a: float, b: float, x_hat: float) -> tuple[float, float]:
-    """_golden_from on p's utility from [a, b].  Each miss guesses that every
-    step keeps the section whose inner point is nearer x_hat, and x_hat itself
-    rides in the first stacked call."""
-    near = lambda x: -abs(x - x_hat)     # noqa: E731
-    return _golden_from(
-        lambda x, *at: p.util(x, lambda: [x_hat, *_path(_golden_from, near, *at)]),
-        a, b, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a),
-    )
+    """Golden-section maximization of p's utility from the bracket [a, b] down
+    to width _GOLDEN_WIDTH: (argmax, max) over the last bracket's ends and
+    midpoint.  Ties keep the left section and the smaller rate.  A miss
+    evaluates _golden_guess's points with it, and x_hat rides in the first
+    stacked call."""
+    u = p.u
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    first = [x2, x_hat, *_golden_guess(a, b, x1, x2, x_hat)]
+    f1, f2 = p.util(x1, first), p.util(x2, first)
+    while b - a > _GOLDEN_WIDTH:
+        left = f1 >= f2
+        a, b, x1, x2 = _golden_step(a, b, x1, x2, left)
+        x = x1 if left else x2
+        f = u.get(x)
+        if f is None or f != f:
+            f = p.util(x, _golden_guess(a, b, x1, x2, x_hat))
+        f1, f2 = (f, f1) if left else (f2, f)
+    ends = [(p.util(x), x) for x in (a, 0.5 * (a + b), b)]
+    return max(ends, key=lambda end: end[0])[::-1]      # the first of the largest
 
 
 def _polish(p: _OwnRate, pa: float, pb: float) -> tuple[float | None, float]:
-    """The derivative-sign bisection polish on [pa, pb], guessing that the
-    gradient is positive exactly left of p.x_hat.  The utility is unimodal on
-    the bracket, so a positive gradient at the left edge and a negative one at
-    the right edge pin an interior stationary point.  Returns (root, x_hat
-    for the golden section): the root twice, or None and the edge where the
-    stationary point then lies."""
-    left = lambda x: p.x_hat - x     # noqa: E731
-    ga = p.grad(pa, lambda: [pb, *_path(_bisection, left, pa, pb)])
+    """The derivative-sign bisection polish on [pa, pb], at most 200 steps; a
+    miss evaluates _bisect_guess's points from p.x_hat with it.  The utility
+    is unimodal on the bracket, so g(pa) > 0 > g(pb) pins an interior
+    stationary point.  Returns (root, x_hat for the golden section): the root
+    twice, or None and the edge where the stationary point then lies."""
+    g, x_hat = p.g, p.x_hat
+    pm = 0.5 * (pa + pb)
+    ga = p.grad(pa, [pb, pm, *_bisect_guess(pa, pb, pm, x_hat)])
     gb = p.grad(pb)
     if not ga > 0.0 > gb:
         return None, pa if ga <= 0.0 else pb
-    root = _bisection(lambda x, *at: p.grad(x, lambda: _path(_bisection, left, *at)), pa, pb)
-    return root, root
+    for _ in range(200):
+        gm = g.get(pm)
+        if gm is None or gm != gm:
+            gm = p.grad(pm, _bisect_guess(pa, pb, pm, x_hat))
+        pa, pb, pm, done = _bisect_step(pa, pb, pm, gm > 0.0)
+        if done:
+            break
+    return pm, pm
 
 
 def _best_response_full(
@@ -767,6 +801,10 @@ def verify_epsilon_ne(
     verdict and the worst improvement found (negative when r_star is a
     strict best response everywhere).
     """
+    if grid_points < 2:
+        raise ValueError("grid_points must be >= 2")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be finite and >= 0")
     r_star = np.asarray(r_star, dtype=float)
     base = _utilities_all(r_star, cfg)
     worst = -math.inf

@@ -223,6 +223,8 @@ class ExperimentSpec:
         if self.command == "br-curve":
             if self.curve_sensor is None:
                 raise ConfigError("br-curve requires curve_sensor")
+            if self.curve_points < 2:
+                raise ConfigError("points must be >= 2")
         elif self.curve_sensor is not None:
             raise ConfigError("curve_sensor is only valid for br-curve")
 

@@ -52,6 +52,20 @@ def test_solver_options_validation():
                 SolverOptions(**{name: bad})
 
 
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+@pytest.mark.parametrize("name", ["tol", "step_size", "max_iter", "min_rate", "refine_after"])
+def test_solver_options_reject_bools(name, flag):
+    # tol=True used to solve sec4 to converged=True after 2 iterations
+    with pytest.raises(ValueError) as e:
+        SolverOptions(**{name: flag})
+    assert str(e.value) == f"{name}: must be a number, not a bool"
+
+
+def test_solver_options_accept_ints():
+    opts = SolverOptions(tol=1, step_size=1, max_iter=3, min_rate=0, refine_after=0)
+    assert (opts.tol, opts.step_size, opts.max_iter, opts.min_rate) == (1, 1, 3, 0)
+
+
 def test_check_existence_sec4(sec4_cfg):
     report = check_existence(sec4_cfg, region=(0.1, 0.5), samples=200)
     assert report.condition_a        # 0.1*9 - 0.1 = 0.8 >= 0
@@ -570,3 +584,23 @@ def test_verify_single_sensor_best_response(single_interior_cfg):
     ok, worst = verify_epsilon_ne(np.array([br]), single_interior_cfg, 1e-9, 2000)
     assert ok
     assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("grid_points", [1, 0, -3])
+def test_verify_rejects_fewer_than_two_grid_points(single_interior_cfg, grid_points):
+    with pytest.raises(ValueError) as e:
+        verify_epsilon_ne(np.array([0.5]), single_interior_cfg, 1e-6, grid_points)
+    assert str(e.value) == "grid_points must be >= 2"
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, -1e-12])
+def test_verify_rejects_a_nan_infinite_or_negative_epsilon(single_interior_cfg, epsilon):
+    with pytest.raises(ValueError) as e:
+        verify_epsilon_ne(np.array([0.5]), single_interior_cfg, epsilon)
+    assert str(e.value) == "epsilon must be finite and >= 0"
+
+
+def test_verify_accepts_a_zero_epsilon_and_two_grid_points(single_interior_cfg):
+    br = best_response(0, np.array([]), single_interior_cfg)
+    ok, worst = verify_epsilon_ne(np.array([br]), single_interior_cfg, 0.0, 2)
+    assert ok == (worst <= 0.0) and math.isfinite(worst)

@@ -413,6 +413,24 @@ def test_bad_solver_option_exit_code(tmp_path):
     )
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--grid-points", "0"], "grid_points must be >= 2"),
+    (["verify", "--grid-points", "1"], "grid_points must be >= 2"),
+    (["verify", "--epsilon", "nan"], "epsilon must be finite and >= 0"),
+    (["verify", "--epsilon", "inf"], "epsilon must be finite and >= 0"),
+    (["verify", "--epsilon=-1e-9"], "epsilon must be finite and >= 0"),
+    (["br-curve", "--sensor", "1", "--points", "0"], "points must be >= 2"),
+    (["br-curve", "--sensor", "1", "--points", "1"], "points must be >= 2"),
+    (["br-curve", "--sensor", "1", "--points", "-3"], "points must be >= 2"),
+])
+def test_bad_certifier_sizes_exit_3_with_the_message(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.txt"
+    args = [argv[0], "--config", write_doc(tmp_path, SINGLE_DOC), "--out", str(out)]
+    assert main(args + argv[1:]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not out.exists()
+
+
 def test_text_reports_go_to_out_and_stdout(tmp_path, capsys):
     cfg_path = write_doc(tmp_path, SINGLE_DOC)
     for cmd in (["check", "--samples", "5"], ["verify", "--grid-points", "200"]):
