@@ -25,6 +25,15 @@ at the largest rate judged feasible and the smallest judged infeasible.  The
 kernel is monotone in each rate, so if both verdicts hold, every replayed
 decision is the literal search's; otherwise the search reruns on real probes.
 
+The searches are generators that yield their kernel requests, a list of own
+rates and a kind (utility, gradient or feasibility), instead of calling the
+kernels.  `_lockstep` runs the searches of several sensors at one profile:
+each round evaluates the pending requests of every live search in one
+stacked pass per kind.  A Jacobi step, a gradient step's upper bounds and
+`verify_epsilon_ne` run all sensors so, and raise the error of the first
+failing sensor as a loop over the sensors would; a Gauss-Seidel best
+response is a batch of one.
+
 The best response's golden section and derivative-sign bisection, and the
 golden section of `verify_epsilon_ne`, are replayed by speculation.  Each is
 the literal sequential loop, run on kernel values read from a table
@@ -32,11 +41,11 @@ the literal sequential loop, run on kernel values read from a table
 coming decisions from x_hat, the estimated stationary point (the bisection:
 g > 0 exactly left of x_hat; the golden section: the inner point nearer x_hat
 wins), except for its last few steps, whose values differ only by round-off:
-there it takes both branches.  x and every guessed point are evaluated in one
-stacked kernel call, and one step function serves loop and guess alike.
+there it takes both branches.  x and every guessed point go into one kernel
+request, and one step function serves loop and guess alike.
 Every decision thus reads the real kernel value at the very float the
 sequential loop computes: the answers are bit-identical to one probe at a
-time, and a wrong guess costs one more stacked call, never a different bit.
+time, and a wrong guess costs one more request, never a different bit.
 Guessed points never leave the search's bracket.  The polish runs first and
 passes its root to the golden section as x_hat, and its gradient error is
 raised at once: the golden section reads utilities only on
@@ -45,6 +54,8 @@ raised at once: the golden section reads utilities only on
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -52,7 +63,8 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .model import (  # noqa: F401 (bench/tracing.py rebinds utility_rate_space)
+# bench/tracing.py rebinds utility_rate_space; tests spy on _utility_along
+from .model import (  # noqa: F401
     DEFAULT_FEASIBILITY_MARGIN,
     LN2,
     EquilibriumResult,
@@ -68,6 +80,7 @@ from .model import (  # noqa: F401 (bench/tracing.py rebinds utility_rate_space)
     _jacobian_terms,
     _utilities_all,
     _own_gradients,
+    _own_rows,
     _own_utilities,
     _utility_along,
     _with_entry,
@@ -159,11 +172,71 @@ class ExistenceReport:
 
 
 # ---------------------------------------------------------------------------
+# searches run in lockstep
+# ---------------------------------------------------------------------------
+
+_UTILITY, _GRADIENT, _FEASIBLE = range(3)     # the kinds of kernel request
+
+
+def _lockstep(searches: list, r: np.ndarray, cfg: GameConfig) -> list:
+    """The values of searches[k] = (i, search), generators over the own rate
+    of sensors i in increasing order at the profile r (see the module
+    docstring); a search that raises stops those after it."""
+    kernels = (_own_utilities, _own_gradients, _own_feasible)  # patched by name
+    if len(searches) == 1:          # the same rounds, without the bookkeeping
+        (i, search), = searches
+        reply = None
+        try:
+            while True:
+                kind, x = search.send(reply)
+                reply = kernels[kind](i, r, np.asarray(x, dtype=float), cfg)
+        except StopIteration as stop:
+            return [stop.value]
+    values, failed = [None] * len(searches), len(searches)
+
+    def ask(k, reply):      # search k's next request, or None once it is done
+        nonlocal failed
+        try:
+            return k, *searches[k][1].send(reply)
+        except StopIteration as stop:
+            values[k] = stop.value
+        except Exception as e:      # raised below unless an earlier search fails
+            values[k], failed = e, min(failed, k)
+
+    step = max(1, _STACK_SIZE // r.size)
+    asked = [ask(k, None) if k < failed else None for k in range(len(searches))]
+    while any(asked):
+        round_, asked = [q for q in asked if q and q[0] < failed], []
+        for kind in {kind for _, kind, _ in round_}:
+            group = [(k, rates) for k, of, rates in round_ if of == kind]
+            while group:    # a call ends with the request that fills a kernel chunk,
+                # which bounds its memory; the kernels would chunk it as finely
+                ends = list(itertools.accumulate(len(rates) for _, rates in group))
+                take = bisect.bisect_left(ends, step) + 1
+                call, group = group[:take], group[take:]
+                rows = [len(x) for _, x in call]
+                i = np.repeat([searches[k][0] for k, _ in call], rows)
+                out = kernels[kind](i, r, np.concatenate([x for _, x in call]), cfg)
+                for (k, x), end in zip(call, ends):
+                    if k < failed:
+                        asked.append(ask(k, out[end - len(x):end]))
+    if failed < len(searches):
+        raise values[failed]
+    return values
+
+
+# ---------------------------------------------------------------------------
 # feasible interval of one sensor's rate
 # ---------------------------------------------------------------------------
 
 def _profile_feasible(r: np.ndarray, cfg: GameConfig) -> bool:
     return _invert(r, cfg)[4]
+
+
+def _own_feasible(i, r: np.ndarray, x: np.ndarray, cfg: GameConfig) -> np.ndarray:
+    """_profile_feasible of r with entry i set to each x[q], i as for
+    model._own_utilities, in stacks of at most _STACK_SIZE rates."""
+    return np.concatenate([_invert(Q, cfg)[4] for _, Q, _ in _own_rows(r, i, x)])
 
 
 def _interval_search(feasible: Callable[[float], bool], min_rate: float):
@@ -217,11 +290,21 @@ def rate_upper_bound(
     r = np.array(rates, dtype=float)
     r[i] = min_rate
     _as_rates(r, cfg)
-    probe = lambda x: _profile_feasible(_with_entry(r, i, x), cfg)  # noqa: E731
+    return _lockstep([(i, _bound_search(i, r, cfg, min_rate))], r, cfg)[0]
+
+
+def _bound_search(i: int, r: np.ndarray, cfg: GameConfig, min_rate: float):
+    """rate_upper_bound as a search (see _lockstep) on a valid profile r: the
+    replay against x_hat, whose two verdicts cost one feasibility request,
+    and the literal search on scalar probes where a verdict fails."""
+    r = _with_entry(r, i, min_rate)
     x_hat = _rate_limit_estimate(i, r, cfg)
     lo, hi = _interval_search(lambda x: x < x_hat, min_rate)
-    if not ((lo is None or probe(lo)) and hi < math.inf and not probe(hi)):
-        lo, hi = _interval_search(probe, min_rate)
+    ends = [hi] if lo is None else [lo, hi]
+    verdicts = [] if hi == math.inf else (yield _FEASIBLE, ends).tolist()
+    if verdicts != [True] * (len(ends) - 1) + [False]:     # the replay does not hold
+        lo, hi = _interval_search(lambda x: _profile_feasible(_with_entry(r, i, x), cfg),
+                                  min_rate)
     if lo is None:
         raise EmptyFeasibleInterval(i, min_rate)
     if hi == math.inf:
@@ -284,41 +367,38 @@ def _stationary_estimate(
 class _OwnRate:
     """Sensor i's utility and gradient along its own rate, the others fixed at
     r: the kernel values the best-response searches read, a stacked batch at
-    a time.
+    a time, through searches (see _lockstep).
 
-    The constructor evaluates the uniform grid on [lo, hi], keeps the edges
-    a, b of the cells around its first maximum `top`, and estimates x_hat, the
-    stationary point in [a, b].  The tables u and g hold the values known so
-    far.  util(x, guess) or grad(x, guess) reads one; a miss evaluates x and
-    the points of `guess` in one stacked call.  An infeasible point is kept as
-    NaN and raises the scalar kernel's typed error only when read.
+    scan(lo, hi, points) evaluates the uniform grid on [lo, hi], keeps the
+    edges a, b of the cells around its first maximum `top`, and estimates
+    x_hat, the stationary point in [a, b].  The tables u and g hold the values
+    known so far.  read(kind, x, guess) reads one; a miss requests x and the
+    points of `guess` together.  An infeasible point is kept as NaN and
+    raises the scalar kernel's typed error only when read.
     """
 
-    def __init__(self, i, r, lo, hi, points, cfg):
+    def __init__(self, i, r, cfg):
+        self.i, self.r, self.cfg = i, r, cfg
+        self.u, self.g = {}, {}
+
+    def scan(self, lo, hi, points):
         grid = np.linspace(lo, hi, points)
-        values = _utility_along(i, r, grid, cfg)
+        values = yield _UTILITY, grid   # all feasible: hi is, and the kernel is monotone
         k = int(np.argmax(values))
         a, b = max(k - 1, 0), min(k + 1, points - 1)
-        self.i, self.r, self.cfg = i, r, cfg
         self.a, self.b, self.top = float(grid[a]), float(grid[b]), float(values[k])
         seen = [0, a, b, points - 1]        # the only grid points searches read
         self.u = dict(zip(grid[seen].tolist(), values[seen].tolist()))
-        self.g = {}
-        self.x_hat = _stationary_estimate(i, r, cfg, self.a, self.b)
+        self.x_hat = _stationary_estimate(self.i, self.r, self.cfg, self.a, self.b)
 
-    def util(self, x: float, guess=()) -> float:
-        return self._read(self.u, _own_utilities, invert_rates, x, guess)
-
-    def grad(self, x: float, guess=()) -> float:
-        return self._read(self.g, _own_gradients, gradient_all, x, guess)
-
-    def _read(self, table, stacked, scalar, x, guess):
+    def read(self, kind, x: float, guess=()):
+        table = (self.u, self.g)[kind]
         if x not in table:
             todo = [x, *[y for y in guess if y not in table]]
-            table.update(zip(todo, stacked(self.i, self.r, np.array(todo), self.cfg).tolist()))
+            table.update(zip(todo, (yield kind, todo).tolist()))
         v = table[x]
-        if v != v:
-            scalar(_with_entry(self.r, self.i, x), self.cfg)     # raises
+        if v != v:              # the scalar kernel raises the typed error
+            (invert_rates, gradient_all)[kind](_with_entry(self.r, self.i, x), self.cfg)
         return v
 
 
@@ -381,48 +461,79 @@ def _bisect_guess(pa, pb, pm, x_hat) -> list:
     return points
 
 
-def _golden_max(p: _OwnRate, a: float, b: float, x_hat: float) -> tuple[float, float]:
+def _golden_max(p: _OwnRate, a: float, b: float, x_hat: float):
     """Golden-section maximization of p's utility from the bracket [a, b] down
     to width _GOLDEN_WIDTH: (argmax, max) over the last bracket's ends and
     midpoint.  Ties keep the left section and the smaller rate.  A miss
-    evaluates _golden_guess's points with it, and x_hat rides in the first
-    stacked call."""
+    requests _golden_guess's points with it, and x_hat rides in the first."""
     u = p.u
     x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     first = [x2, x_hat, *_golden_guess(a, b, x1, x2, x_hat)]
-    f1, f2 = p.util(x1, first), p.util(x2, first)
+    f1 = yield from p.read(_UTILITY, x1, first)
+    f2 = yield from p.read(_UTILITY, x2, first)
     while b - a > _GOLDEN_WIDTH:
         left = f1 >= f2
         a, b, x1, x2 = _golden_step(a, b, x1, x2, left)
         x = x1 if left else x2
         f = u.get(x)
         if f is None or f != f:
-            f = p.util(x, _golden_guess(a, b, x1, x2, x_hat))
+            f = yield from p.read(_UTILITY, x, _golden_guess(a, b, x1, x2, x_hat))
         f1, f2 = (f, f1) if left else (f2, f)
-    ends = [(p.util(x), x) for x in (a, 0.5 * (a + b), b)]
+    ends = []
+    for x in (a, 0.5 * (a + b), b):
+        ends.append(((yield from p.read(_UTILITY, x)), x))
     return max(ends, key=lambda end: end[0])[::-1]      # the first of the largest
 
 
-def _polish(p: _OwnRate, pa: float, pb: float) -> tuple[float | None, float]:
+def _polish(p: _OwnRate, pa: float, pb: float):
     """The derivative-sign bisection polish on [pa, pb], at most 200 steps; a
-    miss evaluates _bisect_guess's points from p.x_hat with it.  The utility
+    miss requests _bisect_guess's points from p.x_hat with it.  The utility
     is unimodal on the bracket, so g(pa) > 0 > g(pb) pins an interior
     stationary point.  Returns (root, x_hat for the golden section): the root
     twice, or None and the edge where the stationary point then lies."""
     g, x_hat = p.g, p.x_hat
     pm = 0.5 * (pa + pb)
-    ga = p.grad(pa, [pb, pm, *_bisect_guess(pa, pb, pm, x_hat)])
-    gb = p.grad(pb)
+    ga = yield from p.read(_GRADIENT, pa, [pb, pm, *_bisect_guess(pa, pb, pm, x_hat)])
+    gb = yield from p.read(_GRADIENT, pb)
     if not ga > 0.0 > gb:
         return None, pa if ga <= 0.0 else pb
     for _ in range(200):
         gm = g.get(pm)
         if gm is None or gm != gm:
-            gm = p.grad(pm, _bisect_guess(pa, pb, pm, x_hat))
+            gm = yield from p.read(_GRADIENT, pm, _bisect_guess(pa, pb, pm, x_hat))
         pa, pb, pm, done = _bisect_step(pa, pb, pm, gm > 0.0)
         if done:
             break
     return pm, pm
+
+
+def _best_response_search(i: int, rates: np.ndarray, cfg: GameConfig, min_rate: float):
+    """_best_response_full as a search (see _lockstep)."""
+    hi = yield from _bound_search(i, rates, cfg, min_rate)
+    lo = min_rate
+    if hi <= lo:
+        return lo
+    p = _OwnRate(i, rates, cfg)
+    yield from p.scan(lo, hi, _COARSE_GRID)
+    # The sequential search reads the golden section first; the polish runs
+    # first here so that its root steers the golden section's guesses, and
+    # its error is raised at once: the golden section reads only [lo, hi],
+    # where every utility is feasible, so it cannot raise.
+    root, x_hat = yield from _polish(
+        p, max(lo, p.a - _GOLDEN_WIDTH), min(hi, p.b + _GOLDEN_WIDTH))
+    best_x, best_u = yield from _golden_max(p, p.a, p.b, x_hat)
+    if root is not None:
+        u_root = yield from p.read(_UTILITY, root)
+        if u_root > best_u:
+            best_x, best_u = root, u_root
+
+    # Interval endpoints are the only candidates that can tie the interior
+    # maximum; ties break toward the smallest rate.
+    for x in (lo, hi):
+        u = yield from p.read(_UTILITY, x)
+        if u > best_u or (u == best_u and x < best_x):
+            best_x, best_u = x, u
+    return best_x
 
 
 def _best_response_full(
@@ -436,29 +547,7 @@ def _best_response_full(
     machine precision, which the downstream fixed-point solve needs.  Both
     searches are replayed; see the module docstring.
     """
-    hi = rate_upper_bound(i, rates, cfg, min_rate)
-    lo = min_rate
-    if hi <= lo:
-        return lo
-    p = _OwnRate(i, rates, lo, hi, _COARSE_GRID, cfg)
-    # The sequential search reads the golden section first; the polish runs
-    # first here so that its root steers the golden section's guesses, and
-    # its error is raised at once: the golden section reads only [lo, hi],
-    # where every utility is feasible, so it cannot raise.
-    root, x_hat = _polish(p, max(lo, p.a - _GOLDEN_WIDTH), min(hi, p.b + _GOLDEN_WIDTH))
-    best_x, best_u = _golden_max(p, p.a, p.b, x_hat)
-    if root is not None:
-        u_root = p.util(root)
-        if u_root > best_u:
-            best_x, best_u = root, u_root
-
-    # Interval endpoints are the only candidates that can tie the interior
-    # maximum; ties break toward the smallest rate.
-    for x in (lo, hi):
-        u = p.util(x)
-        if u > best_u or (u == best_u and x < best_x):
-            best_x, best_u = x, u
-    return best_x
+    return _lockstep([(i, _best_response_search(i, rates, cfg, min_rate))], rates, cfg)[0]
 
 
 def best_response(
@@ -480,7 +569,7 @@ def best_response(
         raise ValueError(
             f"r_others has shape {others.shape}, expected ({cfg.n_sensors - 1},)"
         )
-    full = np.insert(others, i, opts.min_rate)
+    full = _as_rates(np.insert(others, i, opts.min_rate), cfg)
     return _best_response_full(i, full, cfg, opts.min_rate)
 
 
@@ -594,10 +683,11 @@ def _foc_hessian(r: np.ndarray, cfg: GameConfig) -> np.ndarray:
     return H
 
 
-def _foc_residual(r: np.ndarray, cfg: GameConfig, min_rate: float) -> float:
+def _foc_residual(r: np.ndarray, cfg: GameConfig, min_rate: float):
+    """(residual, gradient, free sensors) of the first-order conditions at r."""
     g = gradient_all(r, cfg)
     free = (r > min_rate + 1e-14) | (g > 0.0)
-    return float(np.max(np.abs(np.where(free, g, 0.0)))) if free.any() else 0.0
+    return float(np.max(np.abs(np.where(free, g, 0.0)))) if free.any() else 0.0, g, free
 
 
 def _refine_newton(
@@ -618,10 +708,8 @@ def _refine_newton(
     if float(r.sum()) <= 0.0 or not _profile_feasible(r, cfg):
         return r_start, 0, False
     used = 0
+    resid, g, free = _foc_residual(r, cfg, min_rate)
     for _ in range(min(100, budget)):
-        g = gradient_all(r, cfg)
-        free = (r > min_rate + 1e-14) | (g > 0.0)
-        resid = float(np.max(np.abs(np.where(free, g, 0.0)))) if free.any() else 0.0
         if resid < _FOC_TOL:
             return r, used, True
         used += 1
@@ -638,16 +726,16 @@ def _refine_newton(
         while s > 1e-14:
             cand = np.maximum(r + s * direction, min_rate)
             if _profile_feasible(cand, cfg):
-                rc = _foc_residual(cand, cfg, min_rate)
+                rc, gc, fc = _foc_residual(cand, cfg, min_rate)
                 if rc < resid * (1.0 - 0.25 * s) or rc < _FOC_TOL:
-                    r = cand
+                    r, resid, g, free = cand, rc, gc, fc
                     improved = True
                     break
             s *= 0.5
         if not improved:
             # stalled at the floating-point floor of the residual
             return r, used, resid < 1e-6
-    return r, used, _foc_residual(r, cfg, min_rate) < 1e-6
+    return r, used, resid < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -664,16 +752,15 @@ def _gauss_seidel_step(
 
 
 def _jacobi_step(r: np.ndarray, cfg: GameConfig, opts: SolverOptions) -> np.ndarray:
-    return np.array(
-        [_best_response_full(i, r, cfg, opts.min_rate) for i in range(cfg.n_sensors)]
-    )
+    searches = [(i, _best_response_search(i, r, cfg, opts.min_rate))
+                for i in range(cfg.n_sensors)]
+    return np.array(_lockstep(searches, r, cfg))
 
 
 def _gradient_step(r: np.ndarray, cfg: GameConfig, opts: SolverOptions) -> np.ndarray:
     g = gradient_all(r, cfg)
-    upper = np.array(
-        [rate_upper_bound(i, r, cfg, opts.min_rate) for i in range(cfg.n_sensors)]
-    )
+    searches = [(i, _bound_search(i, r, cfg, opts.min_rate)) for i in range(cfg.n_sensors)]
+    upper = np.array(_lockstep(searches, r, cfg))
     return np.clip(r + opts.step_size * g, opts.min_rate, upper)
 
 
@@ -807,10 +894,13 @@ def verify_epsilon_ne(
         raise ValueError("epsilon must be finite and >= 0")
     r_star = np.asarray(r_star, dtype=float)
     base = _utilities_all(r_star, cfg)
-    worst = -math.inf
-    for i in range(cfg.n_sensors):
-        hi = rate_upper_bound(i, r_star, cfg, min_rate)
-        p = _OwnRate(i, r_star, min_rate, hi, grid_points, cfg)
-        u_best = max(_golden_max(p, p.a, p.b, p.x_hat)[1], p.top)
-        worst = max(worst, u_best - float(base[i]))
+
+    def best_deviation(i):
+        hi = yield from _bound_search(i, r_star, cfg, min_rate)
+        p = _OwnRate(i, r_star, cfg)
+        yield from p.scan(min_rate, hi, grid_points)
+        return max((yield from _golden_max(p, p.a, p.b, p.x_hat))[1], p.top)
+
+    best = _lockstep([(i, best_deviation(i)) for i in range(cfg.n_sensors)], r_star, cfg)
+    worst = max(u - float(u0) for u, u0 in zip(best, base))   # the first of the largest
     return worst <= epsilon, worst

@@ -24,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 
@@ -227,6 +228,10 @@ class ExperimentSpec:
                 raise ConfigError("points must be >= 2")
         elif self.curve_sensor is not None:
             raise ConfigError("curve_sensor is only valid for br-curve")
+        if self.grid_points < 2:
+            raise ConfigError("grid_points must be >= 2")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ConfigError("epsilon must be finite and >= 0")
 
 
 # ---------------------------------------------------------------------------

@@ -400,16 +400,18 @@ def _utility_along(
     return u
 
 
-def _own_utilities(i: int, r: np.ndarray, x: np.ndarray, cfg: GameConfig) -> np.ndarray:
+def _own_utilities(i, r: np.ndarray, x: np.ndarray, cfg: GameConfig) -> np.ndarray:
     """_utility of sensor i at each own-rate x[q], the others fixed at r;
-    NaN where _utility would raise.  Never raises."""
+    NaN where _utility would raise.  Never raises.  i is one sensor or an
+    array of one sensor per x[q]."""
     u = np.empty(x.size)
-    for q, Q in _own_rows(r, i, x):
+    for q, Q, own in _own_rows(r, i, x):
+        j = own[1]
         *_, p, ok = _invert(Q, cfg)
         total = Q.sum(axis=1)
         safe = np.where(total > 0.0, total, 1.0)   # a zero total has zero fees
         fee = x[q] / safe * blockchain_power(safe, cfg.blockchain)
-        u[q] = np.where(ok, cfg.rate_prices[i] * x[q] - cfg.wpt_factors[i] * p[:, i] - fee,
+        u[q] = np.where(ok, cfg.rate_prices[j] * x[q] - cfg.wpt_factors[j] * p[own] - fee,
                         np.nan)
     return u
 
@@ -496,21 +498,22 @@ def _gradient(r: np.ndarray, cfg: GameConfig) -> np.ndarray:
     return cfg.rate_prices - dpower_cost - dfee
 
 
-def _own_gradients(i: int, r: np.ndarray, x: np.ndarray, cfg: GameConfig) -> np.ndarray:
+def _own_gradients(i, r: np.ndarray, x: np.ndarray, cfg: GameConfig) -> np.ndarray:
     """gradient_all(r, cfg)[i] with r_i = x[q], the others fixed at r; NaN
-    where gradient_all raises.  Never raises."""
+    where gradient_all raises.  Never raises.  i as for _own_utilities."""
     g = np.empty(x.size)
     bc = cfg.blockchain
     am2 = bc.quad_coeff * bc.compute_coeff**2
-    for q, Q in _own_rows(r, i, x):
+    for q, Q, own in _own_rows(r, i, x):
+        j = own[1]
         z = np.exp2(-(Q / cfg.bandwidths))
         t = 1.0 - z
         load = t.sum(axis=1)
         ok = load < 1.0 - DEFAULT_FEASIBILITY_MARGIN
         eps = np.where(ok, 1.0 - load, 1.0)
-        tp = (LN2 / cfg.bandwidths[i]) * z[:, i]
-        dbeta = cfg.noise_variance * tp * (eps + t[:, i]) / (eps * eps)
-        dpower_cost = cfg.wpt_factors[i] * cfg.inv_gain_pathloss[i] * dbeta
+        tp = (LN2 / cfg.bandwidths[j]) * z[own]
+        dbeta = cfg.noise_variance * tp * (eps + t[own]) / (eps * eps)
+        dpower_cost = cfg.wpt_factors[j] * cfg.inv_gain_pathloss[j] * dbeta
         rho = Q.sum(axis=1)
         safe = np.where(rho > 0.0, rho, 1.0)    # a zero total has no fees
         dfee = (
@@ -519,7 +522,7 @@ def _own_gradients(i: int, r: np.ndarray, x: np.ndarray, cfg: GameConfig) -> np.
             + bc.const_coeff / safe
             + x[q] * (am2 - bc.const_coeff / _pow(safe, 2))
         )
-        g[q] = np.where(ok, cfg.rate_prices[i] - dpower_cost
+        g[q] = np.where(ok, cfg.rate_prices[j] - dpower_cost
                         - np.where(rho > 0.0, dfee, 0.0), np.nan)
     return g
 
@@ -576,15 +579,17 @@ def _pow(a: np.ndarray, k: int) -> np.ndarray:
     return np.array([v**k for v in a.ravel().tolist()]).reshape(a.shape)
 
 
-def _own_rows(r: np.ndarray, i: int, x: np.ndarray):
-    """Chunks (q, Q) of the profiles r with entry i set to x[q], at most
-    _STACK_SIZE rates each."""
+def _own_rows(r: np.ndarray, i, x: np.ndarray):
+    """Chunks (q, Q, own) of the profiles r with entry i set to x[q], at most
+    _STACK_SIZE rates each.  i is one sensor, or an array of one sensor per
+    x[q]; Q[own] picks each row's entry i, and own[1] its sensor."""
     step = max(1, _STACK_SIZE // r.size)
     for s in range(0, x.size, step):
         q = slice(s, min(s + step, x.size))
         Q = np.repeat(r[None], q.stop - s, axis=0)
-        Q[:, i] = x[q]
-        yield q, Q
+        own = (slice(None), i) if np.isscalar(i) else (np.arange(q.stop - s), i[q])
+        Q[own] = x[q]
+        yield q, Q, own
 
 
 def _with_entry(r: np.ndarray, i: int, value: float) -> np.ndarray:

@@ -604,3 +604,19 @@ def test_verify_accepts_a_zero_epsilon_and_two_grid_points(single_interior_cfg):
     br = best_response(0, np.array([]), single_interior_cfg)
     ok, worst = verify_epsilon_ne(np.array([br]), single_interior_cfg, 0.0, 2)
     assert ok == (worst <= 0.0) and math.isfinite(worst)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-12])
+def test_public_searches_reject_a_bad_opponent_rate(sec4_cfg, bad):
+    # the searches themselves no longer validate; the public edges do
+    r = np.full(10, 0.1)
+    r[6] = bad
+    calls = {
+        "best_response": lambda: best_response(2, np.delete(r, 2), sec4_cfg),
+        "rate_upper_bound": lambda: rate_upper_bound(2, r, sec4_cfg),
+        "verify_epsilon_ne": lambda: verify_epsilon_ne(r, sec4_cfg, 1e-6, 64),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError) as e:
+            call()
+        assert str(e.value) == "rates must be finite and >= 0", name

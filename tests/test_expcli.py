@@ -431,6 +431,16 @@ def test_bad_certifier_sizes_exit_3_with_the_message(tmp_path, capsys, argv, mes
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["--grid-points", "1"], ["--epsilon", "nan"],
+                                  ["--epsilon", "inf"], ["--epsilon=-1e-9"]])
+def test_verify_rejects_bad_certifier_sizes_before_solving(monkeypatch, argv):
+    def solve(*args):
+        raise AssertionError("solved before the options were checked")
+
+    monkeypatch.setattr(expcli.equilibrium, "solve", solve)
+    assert main(["verify", "--config", str(SEC4_CONFIG_PATH), *argv]) == EXIT_CONFIG
+
+
 def test_text_reports_go_to_out_and_stdout(tmp_path, capsys):
     cfg_path = write_doc(tmp_path, SINGLE_DOC)
     for cmd in (["check", "--samples", "5"], ["verify", "--grid-points", "200"]):

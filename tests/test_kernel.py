@@ -645,13 +645,15 @@ def test_replay_table_reads_raise_the_scalar_kernels_errors(sec4_cfg):
     for others in (0.01, 0.12):     # quiet opponents: sensor 4's own cap binds first
         r, i = np.full(10, others), 4
         hi = rate_upper_bound(i, r, sec4_cfg, 0.0)
-        p = equilibrium._OwnRate(i, r, 0.0, hi, 64, sec4_cfg)
+        p = equilibrium._OwnRate(i, r, sec4_cfg)
+        run = lambda search: equilibrium._lockstep([(i, search)], r, sec4_cfg)[0]  # noqa: E731
+        run(p.scan(0.0, hi, 64))
         for x in (hi, hi * 1.001, hi * 1.5, 3.0):   # past the interval, then the load
             want = _outcome(_utility, i, _with_entry(r, i, x), sec4_cfg)
-            assert _outcome(p.util, x) == want
+            assert _outcome(lambda x: run(p.read(equilibrium._UTILITY, x)), x) == want
             kinds.add(want[0] if isinstance(want, tuple) else float)
             want = _outcome(_own_gradient, i, _with_entry(r, i, x), sec4_cfg)
-            assert _outcome(p.grad, x) == want
+            assert _outcome(lambda x: run(p.read(equilibrium._GRADIENT, x)), x) == want
             kinds.add(want[0] if isinstance(want, tuple) else float)
     assert kinds == {float, PowerBoundExceeded, InfeasibleRates}
 
@@ -692,14 +694,143 @@ def test_best_response_makes_few_stacked_kernel_calls(sec4_cfg, monkeypatch):
         monkeypatch.setattr(equilibrium, name, counting(getattr(equilibrium, name)))
     monkeypatch.setattr(model, "_utility", scalar)
     monkeypatch.setattr(model, "_gradient", scalar)
+    answered = []
     for r in profiles:
         for i in range(10):
             for m in (0.0, 0.1):
                 counts.append(0)
-                _outcome(_best_response_full, i, r, sec4_cfg, m)
+                if isinstance(_outcome(_best_response_full, i, r, sec4_cfg, m), float):
+                    answered.append(counts[-1])
     # about 88 scalar probes a call before the searches were replayed, and
     # mean 6.6, max 11 before the round-off tails were speculated
     assert len(counts) > 1000 and np.mean(counts) <= 4.9 and max(counts) <= 8
+    # every answer read the counted kernels: no search bypasses them
+    assert len(answered) > 1000 and min(answered) >= 1
     counts.append(0)
     verify_epsilon_ne(profiles[-1], sec4_cfg, 1e-6, 500)
-    assert counts[-1] <= 36          # 54 before
+    assert 1 <= counts[-1] <= 36          # 54 before
+
+
+def _two_empty_intervals(sec4):
+    """(cfg, r, min_rate) where sensors 3 and 7 have no feasible rate >= min_rate
+    and every other sensor has one."""
+    r = np.full(10, 0.35)
+    r[[3, 7]] = 0.0
+    m = 0.5 * (0.35 + max(rate_upper_bound(i, r, sec4, 0.0) for i in (3, 7)))
+    assert 0.25 < m < 0.35
+    return sec4, r, m
+
+
+def _step_cases(sec4):
+    """_two_empty_intervals and the distinct (cfg, profile, min_rate) of
+    _hard_search_cases."""
+    cases = {(id(r), m): (cfg, r, m) for cfg, r, _, m in _hard_search_cases(sec4)}
+    return [_two_empty_intervals(sec4), *cases.values()]
+
+
+def _one_by_one(outcome, n):
+    """outcome(i) for i = 0..n-1 as a loop over the sensors gives them: every
+    value, or the first error."""
+    values = []
+    for i in range(n):
+        v = outcome(i)
+        if isinstance(v, tuple):
+            return v
+        values.append(v)
+    return values
+
+
+def _sequential_gradient_step(r, cfg, opts):
+    g = gradient_all(r, cfg)
+    upper = _one_by_one(lambda i: _outcome(rate_upper_bound, i, r, cfg, opts.min_rate),
+                        cfg.n_sensors)
+    if isinstance(upper, tuple):
+        return upper
+    return np.clip(r + opts.step_size * g, opts.min_rate, np.array(upper)).tolist()
+
+
+@pytest.mark.parametrize("estimate", ["closed form", "inf"])
+def test_lockstep_steps_equal_a_loop_over_the_sensors(sec4_cfg, monkeypatch, estimate):
+    # an infinite estimate makes every interval search run on scalar probes,
+    # so errors are raised before the first stacked round
+    cases = _step_cases(sec4_cfg)
+    cases = cases[:801:4] + cases[801:807] + cases[808::2]    # n = 160: min_rate 0.0025
+    if estimate == "inf":
+        monkeypatch.setattr(equilibrium, "_rate_limit_estimate", lambda *a: np.inf)
+        cases = cases[::4] + cases[-1:]
+    jacobi = errors = 0
+    for cfg, r, m in cases:
+        opts = SolverOptions(method="jacobi_br", min_rate=m, step_size=0.05)
+        want = _one_by_one(lambda i: _outcome(_best_response_full, i, r, cfg, m),
+                           cfg.n_sensors)
+        assert _outcome(lambda: equilibrium._jacobi_step(r, cfg, opts).tolist()) == want
+        jacobi += isinstance(want, list)
+        errors += isinstance(want, tuple)
+        want = _outcome(_sequential_gradient_step, r, cfg, opts)
+        assert _outcome(lambda: equilibrium._gradient_step(r, cfg, opts).tolist()) == want
+    assert jacobi > len(cases) // 2 and errors > len(cases) // 10
+    cfg, r, m = cases[0]    # sensors 3 and 7 fail: the step raises sensor 3's error
+    want = (equilibrium.EmptyFeasibleInterval, f"sensor 3: no feasible rate >= min_rate {m!r}")
+    assert _outcome(rate_upper_bound, 7, r, cfg, m)[0] is want[0]
+    assert _outcome(equilibrium._jacobi_step, r, cfg, SolverOptions(min_rate=m)) == want
+
+
+def test_lockstep_verify_equals_the_literal_loop_where_sensors_fail(sec4_cfg):
+    cfg, r, m = _two_empty_intervals(sec4_cfg)
+    want = (equilibrium.EmptyFeasibleInterval, f"sensor 3: no feasible rate >= min_rate {m!r}")
+    assert _outcome(ref.verify_worst_gain, r, cfg, 64, m) == want
+    assert _outcome(lambda: verify_epsilon_ne(r, cfg, 1e-6, 64, m)[1]) == want
+    # at min_rate 0 every interval is feasible
+    assert verify_epsilon_ne(r, cfg, 1e-6, 64, 0.0)[1] == ref.verify_worst_gain(r, cfg, 64, 0.0)
+
+
+def test_per_row_kernels_equal_the_one_sensor_kernels(sec4_cfg, monkeypatch):
+    rng = np.random.default_rng(23)
+    big = _tiled(sec4_cfg, 160)
+    cases = [(sec4_cfg, r) for r in _boundary_profiles(sec4_cfg, rng, 20)]
+    cases += [(big, rng.uniform(0.0, 0.006, 160))]
+    kernels = (model._own_utilities, model._own_gradients, equilibrium._own_feasible)
+    verdicts = []
+    for size in (model._STACK_SIZE, 70):        # 70: a few rows per chunk
+        monkeypatch.setattr(model, "_STACK_SIZE", size)
+        for cfg, r in cases:
+            n = cfg.n_sensors
+            sensors = rng.integers(0, n, size=37)
+            x = rng.uniform(0.0, 0.5, size=37)      # crosses the load limit
+            for kernel in kernels:
+                got = kernel(sensors, r, x, cfg)
+                want = [kernel(int(i), r, x[q:q + 1], cfg)[0] for q, i in enumerate(sensors)]
+                assert np.array_equal(got, want, equal_nan=got.dtype.kind == "f")
+            ok = equilibrium._own_feasible(sensors, r, x, cfg)
+            assert ok.tolist() == [_profile_feasible(_with_entry(r, i, xq), cfg)
+                                   for i, xq in zip(sensors, x)]
+            verdicts += ok.tolist()
+    assert 0.1 < np.mean(verdicts) < 0.9
+
+
+def test_a_jacobi_step_makes_one_feasibility_and_few_stacked_passes(sec4_cfg, monkeypatch):
+    profiles = []
+    for method in equilibrium._METHODS:
+        profiles += list(solve(sec4_cfg, SolverOptions(method=method, max_iter=40)).trace)
+    counts = []
+
+    def counting(name):
+        kernel = getattr(equilibrium, name)
+
+        def counted(*args):
+            counts[-1][name] += 1
+            return kernel(*args)
+        return counted
+
+    for name in ("_utility_along", "_own_utilities", "_own_gradients", "_own_feasible"):
+        monkeypatch.setattr(equilibrium, name, counting(name))
+    for r in profiles:
+        counts.append(dict.fromkeys(("_utility_along", "_own_utilities",
+                                     "_own_gradients", "_own_feasible"), 0))
+        _outcome(equilibrium._jacobi_step, r, sec4_cfg, SolverOptions(method="jacobi_br"))
+    # ten best responses made about 41 stacked calls and 20 scalar probes
+    # one after another; a round now serves every sensor
+    passes = [c["_own_utilities"] + c["_own_gradients"] for c in counts]
+    assert len(counts) > 20 and all(c["_own_feasible"] == 1 for c in counts)
+    assert max(passes) <= 8 and np.mean(passes) <= 7 and sum(passes) > 4 * len(counts)
+    assert all(c["_utility_along"] == 0 for c in counts)
