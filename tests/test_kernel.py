@@ -828,7 +828,7 @@ def test_a_jacobi_step_makes_one_feasibility_and_few_stacked_passes(sec4_cfg, mo
         counts.append(dict.fromkeys(("_utility_along", "_own_utilities",
                                      "_own_gradients", "_own_feasible"), 0))
         _outcome(equilibrium._jacobi_step, r, sec4_cfg, SolverOptions(method="jacobi_br"))
-    # ten best responses made about 41 stacked calls and 20 scalar probes
+    # ten best responses made about 44 stacked calls and 20 scalar probes
     # one after another; a round now serves every sensor
     passes = [c["_own_utilities"] + c["_own_gradients"] for c in counts]
     assert len(counts) > 20 and all(c["_own_feasible"] == 1 for c in counts)
