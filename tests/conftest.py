@@ -79,3 +79,34 @@ def random_feasible_rates(
         if inv.load < max_load:
             out.append(r)
     return out
+
+
+def own_rate_50_digits(mp, cfg: GameConfig, r: np.ndarray):
+    """own(i)(x) = (utility, own gradient) of sensor i at r_i = x, the others
+    at r, in mpmath at its working precision; build and call it there."""
+    f = mp.mpf
+    bc = cfg.blockchain
+    a, lin, c, m = (f(v) for v in (bc.quad_coeff, bc.lin_coeff, bc.const_coeff,
+                                   bc.compute_coeff))
+    s2, am2 = f(cfg.noise_variance), f(bc.quad_coeff) * f(bc.compute_coeff) ** 2
+    rates = [f(float(v)) for v in r]
+    loads = [1 - mp.power(2, -v / f(s.bandwidth)) for v, s in zip(rates, cfg.sensors)]
+    load, total_rate = mp.fsum(loads), mp.fsum(rates)
+
+    def own(i):
+        s = cfg.sensors[i]
+        band, price, circuit = f(s.bandwidth), f(s.unit_rate_price), f(s.circuit_power)
+        kappa = f(s.ap_distance) ** f(s.path_loss_exp) / f(s.channel_gain)
+        wpt = f(cfg.power_price) * f(s.beacon_distance) ** f(cfg.wpt_path_loss_exp)
+        others, rest = load - loads[i], total_rate - rates[i]
+
+        def at(x):
+            t = 1 - mp.power(2, -x / band)
+            eps, total = 1 - others - t, rest + x
+            power = circuit + t * s2 / eps * kappa
+            fee = x / total * (a * (m * total) ** 2 + lin * m * total + c)
+            dpower = wpt * kappa * s2 * mp.log(2) / band * (1 - t) * (eps + t) / eps**2
+            dfee = am2 * total + lin * m + c / total + x * (am2 - c / total**2)
+            return price * x - wpt * power - fee, price - dpower - dfee
+        return at
+    return own

@@ -1,10 +1,11 @@
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import REPO_ROOT, make_config, make_sensor
+from conftest import REPO_ROOT, make_config, make_sensor, own_rate_50_digits
 from crowdgame import equilibrium, oracle
 from crowdgame.equilibrium import (
     EmptyFeasibleInterval,
@@ -158,6 +159,20 @@ def test_rate_upper_bound_is_boundary(sec4_cfg):
         invert_rates(r, sec4_cfg)      # infeasible just past it
 
 
+@pytest.mark.parametrize("i", [-1, -10, 10, 11])
+def test_searches_reject_a_sensor_id_out_of_range(sec4_cfg, i):
+    # -1 used to answer for sensor 9 against a shifted profile, and 10 raised
+    # NumPy's own IndexError
+    message = f"sensor id {i} out of range [0, 10)"
+    calls = (lambda: best_response(i, np.full(9, 0.2), sec4_cfg),
+             lambda: rate_upper_bound(i, np.full(10, 0.2), sec4_cfg),
+             lambda: utility_rate_space(i, np.full(10, 0.2), sec4_cfg))
+    for call in calls:
+        with pytest.raises(IndexError) as e:
+            call()
+        assert str(e.value) == message
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -244,7 +259,7 @@ def test_pinned_solve_csv_is_within_one_unit_of_the_50_digit_equilibrium(sec4_cf
 
 def test_pinned_br_curve_is_within_one_unit_of_50_digit_utilities(sec4_cfg, sec4_solution):
     mp = pytest.importorskip("mpmath")
-    cfg, bc, i = sec4_cfg, sec4_cfg.blockchain, 1       # the CLI's --sensor 2
+    cfg, i = sec4_cfg, 1       # the CLI's --sensor 2
     rows = (REPO_ROOT / "bench" / "expected" / "br-curve.csv").read_text().splitlines()
     rows = [row.split(",") for row in rows[1:]]
     r = sec4_solution.rates.copy()
@@ -254,27 +269,7 @@ def test_pinned_br_curve_is_within_one_unit_of_50_digit_utilities(sec4_cfg, sec4
     assert [x for x, _, flag in rows if flag == "1"] == [f"{br:.12g}"]
     with mp.workdps(50):
         f = mp.mpf
-        a, lin, c, m = (f(v) for v in (bc.quad_coeff, bc.lin_coeff, bc.const_coeff,
-                                       bc.compute_coeff))
-        s2, ln2 = f(cfg.noise_variance), mp.log(2)
-        band = [f(s.bandwidth) for s in cfg.sensors]
-        kappa = [f(s.ap_distance) ** f(s.path_loss_exp) / f(s.channel_gain)
-                 for s in cfg.sensors]
-        wpt = f(cfg.power_price) * f(cfg.sensors[i].beacon_distance) ** f(cfg.wpt_path_loss_exp)
-        price, circuit = f(cfg.sensors[i].unit_rate_price), f(cfg.sensors[i].circuit_power)
-        others = [f(float(v)) for v in r]
-
-        def own(x):         # (utility, own gradient) at r_i = x, the others at r
-            p = others[:i] + [x] + others[i + 1:]
-            t = [1 - mp.power(2, -p[k] / band[k]) for k in range(len(p))]
-            eps, total = 1 - mp.fsum(t), mp.fsum(p)
-            power = circuit + t[i] * s2 / eps * kappa[i]
-            fee = x / total * (a * (m * total) ** 2 + lin * m * total + c)
-            am2 = a * m**2
-            dpower = wpt * kappa[i] * s2 * ln2 / band[i] * (1 - t[i]) * (eps + t[i]) / eps**2
-            dfee = am2 * total + lin * m + c / total + x * (am2 - c / total**2)
-            return price * x - wpt * power - fee, price - dpower - dfee
-
+        own = own_rate_50_digits(mp, cfg, r)(i)
         checked = 0
         for (text, utility, _), x in zip(sorted(rows, key=lambda row: row[2]),
                                          [*grid.tolist(), br]):
@@ -523,12 +518,12 @@ def test_a_converged_answer_passes_its_own_certificate(seed, method):
     assert verify_epsilon_ne(res.rates, cfg, 1e-6, 2000, 0.0)[0]
 
 
-def _certify_converged_answers(rng_seed, games, sizes, max_iter):
-    """Solve `games` seeded games, n drawn from `sizes`, by every method at
-    min_rate 0, 1e-3 and 0.1; check every converged answer against its own
-    certificate and the grid oracle, and return how many were checked."""
+@functools.cache
+def _converged_answers(rng_seed, games, sizes, max_iter):
+    """(cfg, opts, result, case) of every converged solve of `games` seeded
+    games, n drawn from `sizes`, by every method at min_rate 0, 1e-3 and 0.1."""
     rng = np.random.default_rng(rng_seed)
-    checked = 0
+    answers = []
     for _ in range(games):
         n, seed = int(rng.integers(*sizes)), int(rng.integers(0, 10**6))
         cfg = _seeded_game(seed, n)
@@ -539,13 +534,20 @@ def _certify_converged_answers(rng_seed, games, sizes, max_iter):
                     res = solve(cfg, opts)
                 except InfeasibilityError:
                     continue        # an infeasible start raises by contract
-                if not res.converged:
-                    continue
-                step = equilibrium._STEPPERS[method](res.rates, cfg, opts)
-                case = (seed, min_rate, method)
-                assert np.max(np.abs(step - res.rates)) < opts.tol, case
-                assert oracle.grid_certify_ne(res.rates, cfg, 256, min_rate) <= 1e-6, case
-                checked += 1
+                if res.converged:
+                    answers.append((cfg, opts, res, (seed, min_rate, method)))
+    return answers
+
+
+def _certify_converged_answers(rng_seed, games, sizes, max_iter):
+    """Check every one of _converged_answers against its own certificate and
+    the grid oracle, and return how many were checked."""
+    checked = 0
+    for cfg, opts, res, case in _converged_answers(rng_seed, games, sizes, max_iter):
+        step = equilibrium._STEPPERS[opts.method](res.rates, cfg, opts)
+        assert np.max(np.abs(step - res.rates)) < opts.tol, case
+        assert oracle.grid_certify_ne(res.rates, cfg, 256, opts.min_rate) <= 1e-6, case
+        checked += 1
     return checked
 
 
@@ -557,6 +559,20 @@ def test_every_converged_answer_passes_its_own_certificate_up_to_20_sensors():
     # n = 20, 17 and 15; a short budget, since Gauss-Seidel at n = 20 can
     # take seconds a solve
     assert _certify_converged_answers(7, 3, (9, 21), 60) >= 15
+
+
+def test_simultaneous_steps_from_an_answer_at_its_interval_end_stay_feasible():
+    # the interval ends sit 1e-12 max(1, x) inside the boundary; at the
+    # boundary itself such a step crossed it by round-off, an overshoot
+    at_end = 0
+    for args in ((5, 12, (1, 9), 300), (7, 3, (9, 21), 60)):
+        for cfg, opts, res, case in _converged_answers(*args):
+            ends = equilibrium._interval_ends(res.rates, cfg, opts.min_rate)
+            if np.any(np.abs(res.rates - ends) <= opts.tol):
+                for step in (equilibrium._jacobi_step, equilibrium._gradient_step):
+                    assert equilibrium._profile_feasible(step(res.rates, cfg, opts), cfg), case
+                at_end += 1
+    assert at_end >= 100
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Every comparison here is exact (`==` / `array_equal`): the kernel keeps the
 arithmetic of the reference inversion, and the stacked, exception-free
-searches must return the very floats of the reference searches.
+searches must return the very floats of the reference searches.  The
+simultaneous steps run no search; they are checked against 50-digit
+maximizers and the feasibility boundary instead.
 """
 
 import warnings
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import reference_search as ref
-from conftest import make_config, make_sensor, random_feasible_rates
+from conftest import make_config, make_sensor, own_rate_50_digits, random_feasible_rates
 from crowdgame import equilibrium, model, oracle
 from crowdgame.equilibrium import (
     SolverOptions,
@@ -740,39 +742,50 @@ def _one_by_one(outcome, n):
     return values
 
 
-def _sequential_gradient_step(r, cfg, opts):
-    g = gradient_all(r, cfg)
-    upper = _one_by_one(lambda i: _outcome(rate_upper_bound, i, r, cfg, opts.min_rate),
-                        cfg.n_sensors)
-    if isinstance(upper, tuple):
-        return upper
-    return np.clip(r + opts.step_size * g, opts.min_rate, np.array(upper)).tolist()
+def _simultaneous_step_cases(sec4):
+    """(cfg, profile, min_rate): the sec4 traces of every method, and every
+    fourth of _step_cases."""
+    cases = [(sec4, r, 0.1) for method in equilibrium._METHODS
+             for r in solve(sec4, SolverOptions(method=method, max_iter=40)).trace]
+    return cases + _step_cases(sec4)[::4]
 
 
-@pytest.mark.parametrize("estimate", ["closed form", "inf"])
-def test_lockstep_steps_equal_a_loop_over_the_sensors(sec4_cfg, monkeypatch, estimate):
-    # an infinite estimate makes every interval search run on scalar probes,
-    # so errors are raised before the first stacked round
-    cases = _step_cases(sec4_cfg)
-    cases = cases[:801:4] + cases[801:807] + cases[808::2]    # n = 160: min_rate 0.0025
-    if estimate == "inf":
-        monkeypatch.setattr(equilibrium, "_rate_limit_estimate", lambda *a: np.inf)
-        cases = cases[::4] + cases[-1:]
-    jacobi = errors = 0
-    for cfg, r, m in cases:
-        opts = SolverOptions(method="jacobi_br", min_rate=m, step_size=0.05)
-        want = _one_by_one(lambda i: _outcome(_best_response_full, i, r, cfg, m),
-                           cfg.n_sensors)
-        assert _outcome(lambda: equilibrium._jacobi_step(r, cfg, opts).tolist()) == want
-        jacobi += isinstance(want, list)
-        errors += isinstance(want, tuple)
-        want = _outcome(_sequential_gradient_step, r, cfg, opts)
+def test_simultaneous_steps_answer_within_1e_12_of_50_digits(sec4_cfg):
+    mp = pytest.importorskip("mpmath")
+    interior = at_end = errors = 0
+    for k, (cfg, r, m) in enumerate(_simultaneous_step_cases(sec4_cfg)):
+        n, opts = cfg.n_sensors, SolverOptions(min_rate=m, step_size=0.05)
+        jacobi = _outcome(equilibrium._jacobi_step, r, cfg, opts)
+        ends = _outcome(equilibrium._interval_ends, r, cfg, m)
+        if isinstance(ends, tuple):     # the first sensor with no interval raises
+            assert ends == _one_by_one(lambda i: _outcome(rate_upper_bound, i, r, cfg, m), n)
+            assert jacobi == ends
+            errors += 1
+        else:
+            for i, x in enumerate(ends.tolist()):
+                delta = 1e-12 * max(1.0, x)
+                assert _profile_feasible(_with_entry(r, i, x), cfg)
+                assert not _profile_feasible(_with_entry(r, i, x + 2.0 * delta), cfg)
+                if i % 4 == k % 4:      # the oracle's bisection takes 45 probes an end
+                    assert abs(x - oracle._upper_bound(i, r.copy(), cfg, m)) <= 2.0 * delta
+            with mp.workdps(50):    # a 50-digit maximizer within 1e-12 relative:
+                own = own_rate_50_digits(mp, cfg, r)    # the own gradient falls through 0
+                for i in np.flatnonzero((jacobi > m) & (jacobi < ends)).tolist():
+                    x = mp.mpf(jacobi[i])
+                    assert own(i)(x * (1 - 1e-12))[1] > 0 > own(i)(x * (1 + 1e-12))[1], (i, m)
+                    interior += 1
+            at_end += int(np.sum(jacobi == ends))
+        g = _outcome(gradient_all, r, cfg)
+        want = g if isinstance(g, tuple) else ends
+        if not isinstance(want, tuple):
+            want = np.clip(r + opts.step_size * g, m, ends).tolist()
         assert _outcome(lambda: equilibrium._gradient_step(r, cfg, opts).tolist()) == want
-    assert jacobi > len(cases) // 2 and errors > len(cases) // 10
-    cfg, r, m = cases[0]    # sensors 3 and 7 fail: the step raises sensor 3's error
+    assert interior > 1000 and at_end > 500 and errors > 40
+    cfg, r, m = _two_empty_intervals(sec4_cfg)  # sensors 3 and 7 fail: sensor 3 raises
     want = (equilibrium.EmptyFeasibleInterval, f"sensor 3: no feasible rate >= min_rate {m!r}")
     assert _outcome(rate_upper_bound, 7, r, cfg, m)[0] is want[0]
-    assert _outcome(equilibrium._jacobi_step, r, cfg, SolverOptions(min_rate=m)) == want
+    for step in (equilibrium._jacobi_step, equilibrium._gradient_step):
+        assert _outcome(step, r, cfg, SolverOptions(min_rate=m)) == want
 
 
 def test_lockstep_verify_equals_the_literal_loop_where_sensors_fail(sec4_cfg):
@@ -812,6 +825,8 @@ def test_a_jacobi_step_makes_one_feasibility_and_few_stacked_passes(sec4_cfg, mo
     profiles = []
     for method in equilibrium._METHODS:
         profiles += list(solve(sec4_cfg, SolverOptions(method=method, max_iter=40)).trace)
+    names = ("_utility_along", "_own_utilities", "_own_gradients", "_own_feasible",
+             "rate_upper_bound")
     counts = []
 
     def counting(name):
@@ -822,15 +837,30 @@ def test_a_jacobi_step_makes_one_feasibility_and_few_stacked_passes(sec4_cfg, mo
             return kernel(*args)
         return counted
 
-    for name in ("_utility_along", "_own_utilities", "_own_gradients", "_own_feasible"):
+    def passes(step):       # the counts of each step, and its outcomes
+        outcomes = []
+        for r in profiles:
+            counts.append(dict.fromkeys(names, 0))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                outcomes.append(_outcome(step, r, sec4_cfg, SolverOptions(min_rate=0.1)))
+        return [tuple(c.values()) for c in counts[-len(profiles):]], outcomes
+
+    for name in names:
         monkeypatch.setattr(equilibrium, name, counting(name))
-    for r in profiles:
-        counts.append(dict.fromkeys(("_utility_along", "_own_utilities",
-                                     "_own_gradients", "_own_feasible"), 0))
-        _outcome(equilibrium._jacobi_step, r, sec4_cfg, SolverOptions(method="jacobi_br"))
-    # ten best responses made about 44 stacked calls and 20 scalar probes
-    # one after another; a round now serves every sensor
-    passes = [c["_own_utilities"] + c["_own_gradients"] for c in counts]
-    assert len(counts) > 20 and all(c["_own_feasible"] == 1 for c in counts)
-    assert max(passes) <= 8 and np.mean(passes) <= 7 and sum(passes) > 4 * len(counts)
-    assert all(c["_utility_along"] == 0 for c in counts)
+    jacobi, gradient = equilibrium._jacobi_step, equilibrium._gradient_step
+    # ten best responses in lockstep made 6.84 stacked passes a step, and
+    # ten sequential ones about 44 stacked calls and 20 scalar probes
+    for step, want in ((jacobi, (0, 2, 0, 1, 0)), (gradient, (0, 0, 0, 1, 0))):
+        got, outcomes = passes(step)
+        assert passes(step)[0] == got          # the counts repeat exactly
+        closed = [c for c, o in zip(got, outcomes)    # answered, and no end fell back
+                  if isinstance(o, np.ndarray) and c[-1] == 0]
+        assert len(closed) > 20 and set(closed) == {want}
+    # every end falls back where the estimate is not finite, warning-free
+    monkeypatch.setattr(equilibrium, "_rate_limit_estimate",
+                        lambda i, r, cfg: np.full(np.shape(i), np.inf))
+    for step in (jacobi, gradient):
+        got, outcomes = passes(step)
+        answered = [c for c, o in zip(got, outcomes) if isinstance(o, np.ndarray)]
+        assert len(answered) > 20 and all(c[-1] == 10 for c in answered)
