@@ -788,6 +788,46 @@ def test_simultaneous_steps_answer_within_1e_12_of_50_digits(sec4_cfg):
         assert _outcome(step, r, cfg, SolverOptions(min_rate=m)) == want
 
 
+def _sequential_gradient_step(r, cfg, opts):
+    g = gradient_all(r, cfg)
+    upper = _one_by_one(lambda i: _outcome(rate_upper_bound, i, r, cfg, opts.min_rate),
+                        cfg.n_sensors)
+    if isinstance(upper, tuple):
+        return upper
+    return np.clip(r + opts.step_size * g, opts.min_rate, np.array(upper)).tolist()
+
+
+@pytest.mark.parametrize("estimate", [np.inf, np.nan], ids=["inf", "nan"])
+def test_lockstep_steps_equal_a_loop_over_the_sensors(sec4_cfg, monkeypatch, estimate):
+    # a non-finite estimate sends every interval end to rate_upper_bound on
+    # scalar probes, in sensor order: the ends, the errors and the gradient
+    # step are those of a loop over the sensors
+    monkeypatch.setattr(equilibrium, "_rate_limit_estimate",
+                        lambda i, r, cfg: np.full(np.shape(i), estimate))
+    cases = _step_cases(sec4_cfg)
+    cases = cases[:801:4] + cases[801:807] + cases[808::2]    # n = 160: min_rate 0.0025
+    cases = cases[::4] + cases[-1:]
+    answered = errors = 0
+    for cfg, r, m in cases:
+        opts = SolverOptions(method="jacobi_br", min_rate=m, step_size=0.05)
+        ends = _one_by_one(lambda i: _outcome(rate_upper_bound, i, r, cfg, m), cfg.n_sensors)
+        assert _outcome(lambda: equilibrium._interval_ends(r, cfg, m).tolist()) == ends
+        jacobi = _outcome(lambda: equilibrium._jacobi_step(r, cfg, opts).tolist())
+        if isinstance(ends, tuple):
+            assert jacobi == ends
+            errors += 1
+        else:
+            assert all(m <= x <= e for x, e in zip(jacobi, ends))
+            answered += 1
+        want = _outcome(_sequential_gradient_step, r, cfg, opts)
+        assert _outcome(lambda: equilibrium._gradient_step(r, cfg, opts).tolist()) == want
+    assert answered > len(cases) // 2 and errors > len(cases) // 10
+    cfg, r, m = cases[0]    # sensors 3 and 7 fail: the step raises sensor 3's error
+    want = (equilibrium.EmptyFeasibleInterval, f"sensor 3: no feasible rate >= min_rate {m!r}")
+    assert _outcome(rate_upper_bound, 7, r, cfg, m)[0] is want[0]
+    assert _outcome(equilibrium._jacobi_step, r, cfg, SolverOptions(min_rate=m)) == want
+
+
 def test_lockstep_verify_equals_the_literal_loop_where_sensors_fail(sec4_cfg):
     cfg, r, m = _two_empty_intervals(sec4_cfg)
     want = (equilibrium.EmptyFeasibleInterval, f"sensor 3: no feasible rate >= min_rate {m!r}")
