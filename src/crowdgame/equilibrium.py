@@ -25,14 +25,6 @@ at the largest rate judged feasible and the smallest judged infeasible.  The
 kernel is monotone in each rate, so if both verdicts hold, every replayed
 decision is the literal search's; otherwise the search reruns on real probes.
 
-The searches are generators that yield their kernel requests, a list of own
-rates and a kind (utility, gradient or feasibility), instead of calling the
-kernels.  `_lockstep` runs the searches of several sensors at one profile:
-each round evaluates the pending requests of every live search in one
-stacked pass per kind.  `verify_epsilon_ne` runs all sensors so, and raises
-the error of the first failing sensor as a loop over the sensors would; a
-Gauss-Seidel best response is a batch of one.
-
 The simultaneous steps take no search.  A Jacobi step and a gradient step
 take every sensor's interval end in closed form, 1e-12 inside the boundary
 and checked in one feasibility pass (`_interval_ends`).  A Jacobi step then
@@ -48,11 +40,11 @@ the literal sequential loop, run on kernel values read from a table
 coming decisions from x_hat, the estimated stationary point (the bisection:
 g > 0 exactly left of x_hat; the golden section: the inner point nearer x_hat
 wins), except for its last few steps, whose values differ only by round-off:
-there it takes both branches.  x and every guessed point go into one kernel
-request, and one step function serves loop and guess alike.
+there it takes both branches.  x and every guessed point go into one stacked
+kernel call, and one step function serves loop and guess alike.
 Every decision thus reads the real kernel value at the very float the
 sequential loop computes: the answers are bit-identical to one probe at a
-time, and a wrong guess costs one more request, never a different bit.
+time, and a wrong guess costs one more call, never a different bit.
 Guessed points never leave the search's bracket.  The polish runs first and
 passes its root to the golden section as x_hat, and its gradient error is
 raised at once: the golden section reads utilities only on
@@ -61,8 +53,6 @@ raised at once: the golden section reads utilities only on
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -180,60 +170,6 @@ class ExistenceReport:
 
 
 # ---------------------------------------------------------------------------
-# searches run in lockstep
-# ---------------------------------------------------------------------------
-
-_UTILITY, _GRADIENT, _FEASIBLE = range(3)     # the kinds of kernel request
-
-
-def _lockstep(searches: list, r: np.ndarray, cfg: GameConfig) -> list:
-    """The values of searches[k] = (i, search), generators over the own rate
-    of sensors i in increasing order at the profile r (see the module
-    docstring); a search that raises stops those after it."""
-    kernels = (_own_utilities, _own_gradients, _own_feasible)  # patched by name
-    if len(searches) == 1:          # the same rounds, without the bookkeeping
-        (i, search), = searches
-        reply = None
-        try:
-            while True:
-                kind, x = search.send(reply)
-                reply = kernels[kind](i, r, np.asarray(x, dtype=float), cfg)
-        except StopIteration as stop:
-            return [stop.value]
-    values, failed = [None] * len(searches), len(searches)
-
-    def ask(k, reply):      # search k's next request, or None once it is done
-        nonlocal failed
-        try:
-            return k, *searches[k][1].send(reply)
-        except StopIteration as stop:
-            values[k] = stop.value
-        except Exception as e:      # raised below unless an earlier search fails
-            values[k], failed = e, min(failed, k)
-
-    step = max(1, _STACK_SIZE // r.size)
-    asked = [ask(k, None) if k < failed else None for k in range(len(searches))]
-    while any(asked):
-        round_, asked = [q for q in asked if q and q[0] < failed], []
-        for kind in {kind for _, kind, _ in round_}:
-            group = [(k, rates) for k, of, rates in round_ if of == kind]
-            while group:    # a call ends with the request that fills a kernel chunk,
-                # which bounds its memory; the kernels would chunk it as finely
-                ends = list(itertools.accumulate(len(rates) for _, rates in group))
-                take = bisect.bisect_left(ends, step) + 1
-                call, group = group[:take], group[take:]
-                rows = [len(x) for _, x in call]
-                i = np.repeat([searches[k][0] for k, _ in call], rows)
-                out = kernels[kind](i, r, np.concatenate([x for _, x in call]), cfg)
-                for (k, x), end in zip(call, ends):
-                    if k < failed:
-                        asked.append(ask(k, out[end - len(x):end]))
-    if failed < len(searches):
-        raise values[failed]
-    return values
-
-
-# ---------------------------------------------------------------------------
 # feasible interval of one sensor's rate
 # ---------------------------------------------------------------------------
 
@@ -300,7 +236,7 @@ def rate_upper_bound(
     r = np.array(rates, dtype=float)
     r[i] = min_rate
     _as_rates(r, cfg)
-    return _lockstep([(i, _bound_search(i, r, cfg, min_rate))], r, cfg)[0]
+    return _bound_search(i, r, cfg, min_rate)
 
 
 def _interval_ends(r: np.ndarray, cfg: GameConfig, min_rate: float) -> np.ndarray:
@@ -324,14 +260,14 @@ def _interval_ends(r: np.ndarray, cfg: GameConfig, min_rate: float) -> np.ndarra
 
 
 def _bound_search(i: int, r: np.ndarray, cfg: GameConfig, min_rate: float):
-    """rate_upper_bound as a search (see _lockstep) on a valid profile r: the
-    replay against x_hat, whose two verdicts cost one feasibility request,
-    and the literal search on scalar probes where a verdict fails."""
+    """rate_upper_bound on a valid profile r: the replay against x_hat, whose
+    two verdicts cost one _own_feasible call, and the literal search on
+    scalar probes where a verdict fails."""
     r = _with_entry(r, i, min_rate)
     x_hat = float(_rate_limit_estimate(i, r, cfg))
     lo, hi = _interval_search(lambda x: x < x_hat, min_rate)
     ends = [hi] if lo is None else [lo, hi]
-    verdicts = [] if hi == math.inf else (yield _FEASIBLE, ends).tolist()
+    verdicts = [] if hi == math.inf else _own_feasible(i, r, np.array(ends), cfg).tolist()
     if verdicts != [True] * (len(ends) - 1) + [False]:     # the replay does not hold
         lo, hi = _interval_search(lambda x: _profile_feasible(_with_entry(r, i, x), cfg),
                                   min_rate)
@@ -396,15 +332,15 @@ def _stationary_estimate(
 
 class _OwnRate:
     """Sensor i's utility and gradient along its own rate, the others fixed at
-    r: the kernel values the best-response searches read, a stacked batch at
-    a time, through searches (see _lockstep).
+    r: the kernel values the best-response searches read, a stacked call at
+    a time.
 
     scan(lo, hi, points) evaluates the uniform grid on [lo, hi], keeps the
     edges a, b of the cells around its first maximum `top`, and estimates
     x_hat, the stationary point in [a, b].  The tables u and g hold the values
-    known so far.  read(kind, x, guess) reads one; a miss requests x and the
-    points of `guess` together.  An infeasible point is kept as NaN and
-    raises the scalar kernel's typed error only when read.
+    known so far.  read(x, guess, gradient) reads one; a miss evaluates x and
+    the points of `guess` in one call.  An infeasible point is kept as NaN
+    and raises the scalar kernel's typed error only when read.
     """
 
     def __init__(self, i, r, cfg):
@@ -413,7 +349,8 @@ class _OwnRate:
 
     def scan(self, lo, hi, points):
         grid = np.linspace(lo, hi, points)
-        values = yield _UTILITY, grid   # all feasible: hi is, and the kernel is monotone
+        # all feasible: hi is, and the kernel is monotone
+        values = _own_utilities(self.i, self.r, grid, self.cfg)
         k = int(np.argmax(values))
         a, b = max(k - 1, 0), min(k + 1, points - 1)
         self.a, self.b, self.top = float(grid[a]), float(grid[b]), float(values[k])
@@ -421,14 +358,15 @@ class _OwnRate:
         self.u = dict(zip(grid[seen].tolist(), values[seen].tolist()))
         self.x_hat = _stationary_estimate(self.i, self.r, self.cfg, self.a, self.b)
 
-    def read(self, kind, x: float, guess=()):
-        table = (self.u, self.g)[kind]
+    def read(self, x: float, guess=(), gradient=False):
+        table, kernel, scalar = ((self.g, _own_gradients, gradient_all) if gradient
+                                 else (self.u, _own_utilities, invert_rates))
         if x not in table:
             todo = [x, *[y for y in guess if y not in table]]
-            table.update(zip(todo, (yield kind, todo).tolist()))
+            table.update(zip(todo, kernel(self.i, self.r, np.array(todo), self.cfg).tolist()))
         v = table[x]
         if v != v:              # the scalar kernel raises the typed error
-            (invert_rates, gradient_all)[kind](_with_entry(self.r, self.i, x), self.cfg)
+            scalar(_with_entry(self.r, self.i, x), self.cfg)
         return v
 
 
@@ -495,75 +433,43 @@ def _golden_max(p: _OwnRate, a: float, b: float, x_hat: float):
     """Golden-section maximization of p's utility from the bracket [a, b] down
     to width _GOLDEN_WIDTH: (argmax, max) over the last bracket's ends and
     midpoint.  Ties keep the left section and the smaller rate.  A miss
-    requests _golden_guess's points with it, and x_hat rides in the first."""
+    evaluates _golden_guess's points with it, and x_hat rides in the first."""
     u = p.u
     x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     first = [x2, x_hat, *_golden_guess(a, b, x1, x2, x_hat)]
-    f1 = yield from p.read(_UTILITY, x1, first)
-    f2 = yield from p.read(_UTILITY, x2, first)
+    f1, f2 = p.read(x1, first), p.read(x2, first)
     while b - a > _GOLDEN_WIDTH:
         left = f1 >= f2
         a, b, x1, x2 = _golden_step(a, b, x1, x2, left)
         x = x1 if left else x2
         f = u.get(x)
         if f is None or f != f:
-            f = yield from p.read(_UTILITY, x, _golden_guess(a, b, x1, x2, x_hat))
+            f = p.read(x, _golden_guess(a, b, x1, x2, x_hat))
         f1, f2 = (f, f1) if left else (f2, f)
-    ends = []
-    for x in (a, 0.5 * (a + b), b):
-        ends.append(((yield from p.read(_UTILITY, x)), x))
+    ends = [(p.read(x), x) for x in (a, 0.5 * (a + b), b)]
     return max(ends, key=lambda end: end[0])[::-1]      # the first of the largest
 
 
 def _polish(p: _OwnRate, pa: float, pb: float):
     """The derivative-sign bisection polish on [pa, pb], at most 200 steps; a
-    miss requests _bisect_guess's points from p.x_hat with it.  The utility
+    miss evaluates _bisect_guess's points from p.x_hat with it.  The utility
     is unimodal on the bracket, so g(pa) > 0 > g(pb) pins an interior
     stationary point.  Returns (root, x_hat for the golden section): the root
     twice, or None and the edge where the stationary point then lies."""
     g, x_hat = p.g, p.x_hat
     pm = 0.5 * (pa + pb)
-    ga = yield from p.read(_GRADIENT, pa, [pb, pm, *_bisect_guess(pa, pb, pm, x_hat)])
-    gb = yield from p.read(_GRADIENT, pb)
+    ga = p.read(pa, [pb, pm, *_bisect_guess(pa, pb, pm, x_hat)], gradient=True)
+    gb = p.read(pb, gradient=True)
     if not ga > 0.0 > gb:
         return None, pa if ga <= 0.0 else pb
     for _ in range(200):
         gm = g.get(pm)
         if gm is None or gm != gm:
-            gm = yield from p.read(_GRADIENT, pm, _bisect_guess(pa, pb, pm, x_hat))
+            gm = p.read(pm, _bisect_guess(pa, pb, pm, x_hat), gradient=True)
         pa, pb, pm, done = _bisect_step(pa, pb, pm, gm > 0.0)
         if done:
             break
     return pm, pm
-
-
-def _best_response_search(i: int, rates: np.ndarray, cfg: GameConfig, min_rate: float):
-    """_best_response_full as a search (see _lockstep)."""
-    hi = yield from _bound_search(i, rates, cfg, min_rate)
-    lo = min_rate
-    if hi <= lo:
-        return lo
-    p = _OwnRate(i, rates, cfg)
-    yield from p.scan(lo, hi, _COARSE_GRID)
-    # The sequential search reads the golden section first; the polish runs
-    # first here so that its root steers the golden section's guesses, and
-    # its error is raised at once: the golden section reads only [lo, hi],
-    # where every utility is feasible, so it cannot raise.
-    root, x_hat = yield from _polish(
-        p, max(lo, p.a - _GOLDEN_WIDTH), min(hi, p.b + _GOLDEN_WIDTH))
-    best_x, best_u = yield from _golden_max(p, p.a, p.b, x_hat)
-    if root is not None:
-        u_root = yield from p.read(_UTILITY, root)
-        if u_root > best_u:
-            best_x, best_u = root, u_root
-
-    # Interval endpoints are the only candidates that can tie the interior
-    # maximum; ties break toward the smallest rate.
-    for x in (lo, hi):
-        u = yield from p.read(_UTILITY, x)
-        if u > best_u or (u == best_u and x < best_x):
-            best_x, best_u = x, u
-    return best_x
 
 
 def _best_response_full(
@@ -577,7 +483,30 @@ def _best_response_full(
     machine precision, which the downstream fixed-point solve needs.  Both
     searches are replayed; see the module docstring.
     """
-    return _lockstep([(i, _best_response_search(i, rates, cfg, min_rate))], rates, cfg)[0]
+    hi = _bound_search(i, rates, cfg, min_rate)
+    lo = min_rate
+    if hi <= lo:
+        return lo
+    p = _OwnRate(i, rates, cfg)
+    p.scan(lo, hi, _COARSE_GRID)
+    # The sequential search reads the golden section first; the polish runs
+    # first here so that its root steers the golden section's guesses, and
+    # its error is raised at once: the golden section reads only [lo, hi],
+    # where every utility is feasible, so it cannot raise.
+    root, x_hat = _polish(p, max(lo, p.a - _GOLDEN_WIDTH), min(hi, p.b + _GOLDEN_WIDTH))
+    best_x, best_u = _golden_max(p, p.a, p.b, x_hat)
+    if root is not None:
+        u_root = p.read(root)
+        if u_root > best_u:
+            best_x, best_u = root, u_root
+
+    # Interval endpoints are the only candidates that can tie the interior
+    # maximum; ties break toward the smallest rate.
+    for x in (lo, hi):
+        u = p.read(x)
+        if u > best_u or (u == best_u and x < best_x):
+            best_x, best_u = x, u
+    return best_x
 
 
 def best_response(
@@ -845,9 +774,9 @@ def solve(cfg: GameConfig, opts: SolverOptions | None = None) -> EquilibriumResu
     else:
         # min_rate + 0.1 each; where that is infeasible (too many sensors or a
         # cap), equal shares of the load 0.5, 0.25, ..., 2^-10, then min_rate
-        shares = [np.maximum(-cfg.bandwidths * np.log2(1.0 - 0.5**k / n), opts.min_rate)
-                  for k in range(1, 11)]
-        starts = (np.full(n, opts.min_rate + 0.1), *shares)
+        starts = (np.full(n, opts.min_rate + 0.1) if k == 0 else
+                  np.maximum(-cfg.bandwidths * np.log2(1.0 - 0.5**k / n), opts.min_rate)
+                  for k in range(11))
         r = next((s for s in starts if _profile_feasible(s, cfg)), np.full(n, opts.min_rate))
     invert_rates(r, cfg)       # initial profile must be feasible
 
@@ -930,7 +859,8 @@ def verify_epsilon_ne(
     """Check that no sensor can gain more than epsilon by deviating alone.
 
     Each sensor's unilateral deviations are grid-searched over its feasible
-    interval and the best cell is refined by golden section.  Returns the
+    interval and the best cell is refined by golden section, one sensor at a
+    time, so the first sensor with no feasible rate raises.  Returns the
     verdict and the worst improvement found (negative when r_star is a
     strict best response everywhere).
     """
@@ -938,15 +868,14 @@ def verify_epsilon_ne(
         raise ValueError("grid_points must be >= 2")
     if not 0.0 <= epsilon < math.inf:
         raise ValueError("epsilon must be finite and >= 0")
+    if not 0.0 <= min_rate < math.inf:
+        raise ValueError("min_rate must be finite and >= 0")
     r_star = np.asarray(r_star, dtype=float)
     base = _utilities_all(r_star, cfg)
-
-    def best_deviation(i):
-        hi = yield from _bound_search(i, r_star, cfg, min_rate)
+    best = []
+    for i in range(cfg.n_sensors):
         p = _OwnRate(i, r_star, cfg)
-        yield from p.scan(min_rate, hi, grid_points)
-        return max((yield from _golden_max(p, p.a, p.b, p.x_hat))[1], p.top)
-
-    best = _lockstep([(i, best_deviation(i)) for i in range(cfg.n_sensors)], r_star, cfg)
+        p.scan(min_rate, _bound_search(i, r_star, cfg, min_rate), grid_points)
+        best.append(max(_golden_max(p, p.a, p.b, p.x_hat)[1], p.top))
     worst = max(u - float(u0) for u, u0 in zip(best, base))   # the first of the largest
     return worst <= epsilon, worst

@@ -247,8 +247,11 @@ def forward_rates(powers: PowerVector, cfg: GameConfig) -> RateVector:
 
     Sensors at or below circuit power transmit nothing (their transmit power
     is clamped at zero), so the map stays total on the whole power box.
+    Non-finite powers raise ValueError.
     """
     p = _as_profile(powers, cfg, "powers")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("powers must be finite")
     beta = cfg.gains * np.maximum(p - cfg.circuit_powers, 0.0) / (
         cfg.ap_distances**cfg.path_loss_exps
     )
@@ -330,10 +333,11 @@ def transaction_fee(i: int, rates: RateVector, cfg: GameConfig) -> float:
     """Sensor i's proportional share of the blockchain power bill.
 
     When the total rate is zero there is no service to bill; every share is
-    zero and the fixed cost stays unallocated.
+    zero and the fixed cost stays unallocated.  Rates that are not finite
+    and >= 0 raise ValueError.
     """
     _check_sensor_id(i, cfg)
-    r = _as_profile(rates, cfg, "rates")
+    r = _as_rates(rates, cfg)
     total = float(r.sum())
     if total <= 0.0:
         return 0.0

@@ -616,6 +616,15 @@ def test_verify_rejects_a_nan_infinite_or_negative_epsilon(single_interior_cfg, 
     assert str(e.value) == "epsilon must be finite and >= 0"
 
 
+@pytest.mark.parametrize("min_rate", [math.nan, math.inf, -math.inf, -1.0])
+def test_verify_rejects_a_nan_infinite_or_negative_min_rate(sec4_cfg, monkeypatch, min_rate):
+    # before any search: a negative floor would grid-search negative rates
+    monkeypatch.setattr(equilibrium, "_bound_search", None)
+    with pytest.raises(ValueError) as e:
+        verify_epsilon_ne(np.full(10, 0.3), sec4_cfg, 1e-6, min_rate=min_rate)
+    assert str(e.value) == "min_rate must be finite and >= 0"
+
+
 def test_verify_accepts_a_zero_epsilon_and_two_grid_points(single_interior_cfg):
     br = best_response(0, np.array([]), single_interior_cfg)
     ok, worst = verify_epsilon_ne(np.array([br]), single_interior_cfg, 0.0, 2)

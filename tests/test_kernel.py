@@ -648,14 +648,13 @@ def test_replay_table_reads_raise_the_scalar_kernels_errors(sec4_cfg):
         r, i = np.full(10, others), 4
         hi = rate_upper_bound(i, r, sec4_cfg, 0.0)
         p = equilibrium._OwnRate(i, r, sec4_cfg)
-        run = lambda search: equilibrium._lockstep([(i, search)], r, sec4_cfg)[0]  # noqa: E731
-        run(p.scan(0.0, hi, 64))
+        p.scan(0.0, hi, 64)
         for x in (hi, hi * 1.001, hi * 1.5, 3.0):   # past the interval, then the load
             want = _outcome(_utility, i, _with_entry(r, i, x), sec4_cfg)
-            assert _outcome(lambda x: run(p.read(equilibrium._UTILITY, x)), x) == want
+            assert _outcome(p.read, x) == want
             kinds.add(want[0] if isinstance(want, tuple) else float)
             want = _outcome(_own_gradient, i, _with_entry(r, i, x), sec4_cfg)
-            assert _outcome(lambda x: run(p.read(equilibrium._GRADIENT, x)), x) == want
+            assert _outcome(lambda x: p.read(x, gradient=True), x) == want
             kinds.add(want[0] if isinstance(want, tuple) else float)
     assert kinds == {float, PowerBoundExceeded, InfeasibleRates}
 
@@ -710,7 +709,9 @@ def test_best_response_makes_few_stacked_kernel_calls(sec4_cfg, monkeypatch):
     assert len(answered) > 1000 and min(answered) >= 1
     counts.append(0)
     verify_epsilon_ne(profiles[-1], sec4_cfg, 1e-6, 500)
-    assert 1 <= counts[-1] <= 36          # 54 before
+    # 33, one sensor at a time: the grid and 2.3 golden-section calls a
+    # sensor; 54 before the round-off tails were speculated
+    assert 1 <= counts[-1] <= 36
 
 
 def _two_empty_intervals(sec4):
@@ -798,7 +799,7 @@ def _sequential_gradient_step(r, cfg, opts):
 
 
 @pytest.mark.parametrize("estimate", [np.inf, np.nan], ids=["inf", "nan"])
-def test_lockstep_steps_equal_a_loop_over_the_sensors(sec4_cfg, monkeypatch, estimate):
+def test_steps_without_a_finite_estimate_equal_a_loop_over_the_sensors(sec4_cfg, monkeypatch, estimate):
     # a non-finite estimate sends every interval end to rate_upper_bound on
     # scalar probes, in sensor order: the ends, the errors and the gradient
     # step are those of a loop over the sensors
@@ -828,7 +829,7 @@ def test_lockstep_steps_equal_a_loop_over_the_sensors(sec4_cfg, monkeypatch, est
     assert _outcome(equilibrium._jacobi_step, r, cfg, SolverOptions(min_rate=m)) == want
 
 
-def test_lockstep_verify_equals_the_literal_loop_where_sensors_fail(sec4_cfg):
+def test_verify_equals_the_reference_loop_where_sensors_fail(sec4_cfg):
     cfg, r, m = _two_empty_intervals(sec4_cfg)
     want = (equilibrium.EmptyFeasibleInterval, f"sensor 3: no feasible rate >= min_rate {m!r}")
     assert _outcome(ref.verify_worst_gain, r, cfg, 64, m) == want

@@ -1,3 +1,4 @@
+import math
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -118,6 +119,16 @@ def test_forward_clamps_below_circuit_power():
 def test_forward_dimension_mismatch(sec4_cfg):
     with pytest.raises(ValueError, match="shape"):
         forward_rates([1.0, 2.0], sec4_cfg)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_forward_rates_and_power_space_utility_reject_non_finite_powers(sec4_cfg, bad):
+    p = sec4_cfg.circuit_powers + 0.5
+    p[3] = bad
+    with pytest.raises(ValueError, match="powers must be finite"):
+        forward_rates(p, sec4_cfg)
+    with pytest.raises(ValueError, match="powers must be finite"):
+        utility_power_space(0, p, sec4_cfg)
 
 
 def test_monotonic_interference(sec4_cfg):
@@ -262,6 +273,14 @@ def test_transaction_fee_zero_total():
 def test_transaction_fee_out_of_range(sec4_cfg):
     with pytest.raises(IndexError):
         transaction_fee(10, np.full(10, 0.2), sec4_cfg)
+
+
+@pytest.mark.parametrize("bad", [-0.1, math.inf, math.nan])
+def test_transaction_fee_rejects_a_negative_or_non_finite_rate(sec4_cfg, bad):
+    r = np.full(10, 0.2)
+    r[0] = bad
+    with pytest.raises(ValueError, match=r"rates must be finite and >= 0"):
+        transaction_fee(1, r, sec4_cfg)
 
 
 def test_fee_conservation(sec4_cfg):
