@@ -25,23 +25,23 @@ at the largest rate judged feasible and the smallest judged infeasible.  The
 kernel is monotone in each rate, so if both verdicts hold, every replayed
 decision is the literal search's; otherwise the search reruns on real probes.
 
-The simultaneous steps take no search.  A Jacobi step and a gradient step
-take every sensor's interval end in closed form, 1e-12 inside the boundary
-and checked in one feasibility pass (`_interval_ends`).  A Jacobi step then
-answers all sensors in two stacked utility passes: the grid, and the best of
-the stationary point in the best cell, min_rate and the end.  Its answers sit
-within 1e-12 of the exact maximizers, where the searches' sit within 2e-9.
+The simultaneous steps and `verify_epsilon_ne` take no search.  A Jacobi
+step and a gradient step take every sensor's interval end in closed form,
+1e-12 inside the boundary and checked in one feasibility pass
+(`_interval_ends`).  `_best_responses` answers in two stacked utility
+passes, the grid and the stationary point in each best cell, within 1e-12 of
+the exact maximizers; verify runs it one sensor at a time on the oracle's grid.
 Gauss-Seidel keeps the replayed searches: its answers are the CLI's bytes.
 
-The best response's golden section and derivative-sign bisection, and the
-golden section of `verify_epsilon_ne`, are replayed by speculation.  Each is
-the literal sequential loop, run on kernel values read from a table
-(`_OwnRate`).  Where the loop needs a value not in the table, it guesses its
-coming decisions from x_hat, the estimated stationary point (the bisection:
-g > 0 exactly left of x_hat; the golden section: the inner point nearer x_hat
-wins), except for its last few steps, whose values differ only by round-off:
-there it takes both branches.  x and every guessed point go into one stacked
-kernel call, and one step function serves loop and guess alike.
+The best response's golden section and derivative-sign bisection are
+replayed by speculation.  Each is the literal sequential loop, run on kernel
+values read from a table (`_OwnRate`).  Where the loop needs a value not in
+the table, it guesses its coming decisions from x_hat, the estimated
+stationary point (the bisection: g > 0 exactly left of x_hat; the golden
+section: the inner point nearer x_hat wins), except for its last few steps,
+whose values differ only by round-off: there it takes both branches.  x and
+every guessed point go into one stacked kernel call, and one step function
+serves loop and guess alike.
 Every decision thus reads the real kernel value at the very float the
 sequential loop computes: the answers are bit-identical to one probe at a
 time, and a wrong guess costs one more call, never a different bit.
@@ -111,6 +111,11 @@ class EmptyFeasibleInterval(Exception):
         self.sensor = sensor
 
 
+def _check_min_rate(min_rate: float):
+    if not 0.0 <= min_rate < math.inf:
+        raise ValueError("min_rate must be finite and >= 0")
+
+
 @dataclass
 class SolverOptions:
     """Knobs of the equilibrium search.
@@ -142,8 +147,7 @@ class SolverOptions:
             raise ValueError("max_iter must be >= 1")
         if self.method == "gradient_ascent" and self.step_size <= 0:
             raise ValueError("step_size must be > 0 for gradient ascent")
-        if not 0 <= self.min_rate < math.inf:
-            raise ValueError("min_rate must be finite and >= 0")
+        _check_min_rate(self.min_rate)
         if self.refine_after < 0:
             raise ValueError("refine_after must be >= 0")
 
@@ -232,6 +236,7 @@ def rate_upper_bound(
     Raises:
         EmptyFeasibleInterval: even min_rate is infeasible against `rates`.
     """
+    _check_min_rate(min_rate)
     _check_sensor_id(i, cfg)
     r = np.array(rates, dtype=float)
     r[i] = min_rate
@@ -330,14 +335,35 @@ def _stationary_estimate(
     return x
 
 
+def _best_responses(sensors: np.ndarray, r: np.ndarray, cfg: GameConfig,
+                    min_rate: float, ends: np.ndarray, points: int):
+    """(rates, utilities) of the best responses of `sensors` to r, sensors[q]
+    on [min_rate, ends[q]]: a `points`-point grid, _stationary_estimate in its
+    best cell, and the best of that root, min_rate, the end and the best grid
+    point, the last three read from the grid (np.linspace keeps its ends
+    exact); ties go to the smaller rate and a NaN never wins."""
+    grid = np.linspace(min_rate, ends, points, axis=1)
+    u = _own_utilities(np.repeat(sensors, points), r, grid.ravel(), cfg).reshape(-1, points)
+    rows, k = np.arange(sensors.size), np.argmax(u, axis=1)
+    cell = np.clip(k[:, None] + [-1, 0, 1], 0, points - 1)
+    a, top, b = grid[rows[:, None], cell].T
+    roots = np.array([_stationary_estimate(i, r, cfg, lo, hi) for i, lo, hi
+                      in zip(sensors.tolist(), a.tolist(), b.tolist())], dtype=float)
+    x = np.column_stack([roots, np.full(sensors.size, min_rate), ends, top])
+    u = np.column_stack([_own_utilities(sensors, r, roots, cfg), u[:, 0], u[:, -1], u[rows, k]])
+    u = np.where(np.isnan(u), -np.inf, u)
+    best = u.max(axis=1)
+    return np.where(u == best[:, None], x, np.inf).min(axis=1), best
+
+
 class _OwnRate:
     """Sensor i's utility and gradient along its own rate, the others fixed at
     r: the kernel values the best-response searches read, a stacked call at
     a time.
 
-    scan(lo, hi, points) evaluates the uniform grid on [lo, hi], keeps the
-    edges a, b of the cells around its first maximum `top`, and estimates
-    x_hat, the stationary point in [a, b].  The tables u and g hold the values
+    scan(lo, hi) evaluates the _COARSE_GRID-point grid on [lo, hi], keeps the
+    edges a, b of the cells around its first maximum, and estimates x_hat,
+    the stationary point in [a, b].  The tables u and g hold the values
     known so far.  read(x, guess, gradient) reads one; a miss evaluates x and
     the points of `guess` in one call.  An infeasible point is kept as NaN
     and raises the scalar kernel's typed error only when read.
@@ -347,14 +373,14 @@ class _OwnRate:
         self.i, self.r, self.cfg = i, r, cfg
         self.u, self.g = {}, {}
 
-    def scan(self, lo, hi, points):
-        grid = np.linspace(lo, hi, points)
+    def scan(self, lo, hi):
+        grid = np.linspace(lo, hi, _COARSE_GRID)
         # all feasible: hi is, and the kernel is monotone
         values = _own_utilities(self.i, self.r, grid, self.cfg)
         k = int(np.argmax(values))
-        a, b = max(k - 1, 0), min(k + 1, points - 1)
-        self.a, self.b, self.top = float(grid[a]), float(grid[b]), float(values[k])
-        seen = [0, a, b, points - 1]        # the only grid points searches read
+        a, b = max(k - 1, 0), min(k + 1, _COARSE_GRID - 1)
+        self.a, self.b = float(grid[a]), float(grid[b])
+        seen = [0, a, b, _COARSE_GRID - 1]      # the only grid points searches read
         self.u = dict(zip(grid[seen].tolist(), values[seen].tolist()))
         self.x_hat = _stationary_estimate(self.i, self.r, self.cfg, self.a, self.b)
 
@@ -488,11 +514,7 @@ def _best_response_full(
     if hi <= lo:
         return lo
     p = _OwnRate(i, rates, cfg)
-    p.scan(lo, hi, _COARSE_GRID)
-    # The sequential search reads the golden section first; the polish runs
-    # first here so that its root steers the golden section's guesses, and
-    # its error is raised at once: the golden section reads only [lo, hi],
-    # where every utility is feasible, so it cannot raise.
+    p.scan(lo, hi)
     root, x_hat = _polish(p, max(lo, p.a - _GOLDEN_WIDTH), min(hi, p.b + _GOLDEN_WIDTH))
     best_x, best_u = _golden_max(p, p.a, p.b, x_hat)
     if root is not None:
@@ -712,25 +734,10 @@ def _gauss_seidel_step(
 
 
 def _jacobi_step(r: np.ndarray, cfg: GameConfig, opts: SolverOptions) -> np.ndarray:
-    """Every sensor's best response to r as array arithmetic: the grid of
-    _best_response_full on each interval wider than a point, _stationary_estimate
-    in each best cell, and the best of it, min_rate, the end and the best grid
-    point; ties go to the smaller rate and a NaN never wins."""
-    m, points = opts.min_rate, _COARSE_GRID
-    ends = _interval_ends(r, cfg, m)
-    live = np.flatnonzero(ends > m)
-    grid = np.linspace(m, ends[live], points, axis=1)
-    u = _own_utilities(np.repeat(live, points), r, grid.ravel(), cfg).reshape(-1, points)
-    cell = np.clip(np.argmax(u, axis=1)[:, None] + [-1, 0, 1], 0, points - 1)
-    a, top, b = grid[np.arange(live.size)[:, None], cell].T
-    roots = [_stationary_estimate(i, r, cfg, lo, hi)
-             for i, lo, hi in zip(live, a.tolist(), b.tolist())]
-    x = np.column_stack([np.array(roots, dtype=float), np.full(live.size, m), ends[live], top])
-    u = _own_utilities(np.repeat(live, 4), r, x.ravel(), cfg).reshape(-1, 4)
-    u = np.where(np.isnan(u), -np.inf, u)
-    out = np.full(cfg.n_sensors, m)
-    out[live] = np.where(u == u.max(axis=1, keepdims=True), x, np.inf).min(axis=1)
-    return out
+    """Every sensor's best response to r on its closed-form interval."""
+    ends = _interval_ends(r, cfg, opts.min_rate)
+    sensors = np.arange(cfg.n_sensors)
+    return _best_responses(sensors, r, cfg, opts.min_rate, ends, _COARSE_GRID)[0]
 
 
 def _gradient_step(r: np.ndarray, cfg: GameConfig, opts: SolverOptions) -> np.ndarray:
@@ -859,23 +866,20 @@ def verify_epsilon_ne(
     """Check that no sensor can gain more than epsilon by deviating alone.
 
     Each sensor's unilateral deviations are grid-searched over its feasible
-    interval and the best cell is refined by golden section, one sensor at a
-    time, so the first sensor with no feasible rate raises.  Returns the
-    verdict and the worst improvement found (negative when r_star is a
-    strict best response everywhere).
+    interval and the best cell is refined to its stationary point, one sensor
+    at a time, so the first sensor with no feasible rate raises.  Returns the
+    verdict and the worst improvement found (negative when r_star is a strict
+    best response everywhere).
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     if not 0.0 <= epsilon < math.inf:
         raise ValueError("epsilon must be finite and >= 0")
-    if not 0.0 <= min_rate < math.inf:
-        raise ValueError("min_rate must be finite and >= 0")
+    _check_min_rate(min_rate)
     r_star = np.asarray(r_star, dtype=float)
     base = _utilities_all(r_star, cfg)
-    best = []
-    for i in range(cfg.n_sensors):
-        p = _OwnRate(i, r_star, cfg)
-        p.scan(min_rate, _bound_search(i, r_star, cfg, min_rate), grid_points)
-        best.append(max(_golden_max(p, p.a, p.b, p.x_hat)[1], p.top))
+    best = [_best_responses(np.array([i]), r_star, cfg, min_rate,
+                            np.array([_bound_search(i, r_star, cfg, min_rate)]),
+                            grid_points)[1].item() for i in range(cfg.n_sensors)]
     worst = max(u - float(u0) for u, u0 in zip(best, base))   # the first of the largest
     return worst <= epsilon, worst

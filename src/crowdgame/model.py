@@ -247,16 +247,18 @@ def forward_rates(powers: PowerVector, cfg: GameConfig) -> RateVector:
 
     Sensors at or below circuit power transmit nothing (their transmit power
     is clamped at zero), so the map stays total on the whole power box.
-    Non-finite powers raise ValueError.
+    Non-finite powers, and powers that overflow the map, raise ValueError.
     """
     p = _as_profile(powers, cfg, "powers")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("powers must be finite")
-    beta = cfg.gains * np.maximum(p - cfg.circuit_powers, 0.0) / (
-        cfg.ap_distances**cfg.path_loss_exps
-    )
-    interference = beta.sum() - beta + cfg.noise_variance
-    return cfg.bandwidths * np.log1p(beta / interference) / LN2
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = cfg.gains * np.maximum(p - cfg.circuit_powers, 0.0) / (
+            cfg.ap_distances**cfg.path_loss_exps
+        )
+        interference = beta.sum() - beta + cfg.noise_variance
+        r = cfg.bandwidths * np.log1p(beta / interference) / LN2
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(r))):
+        raise ValueError("powers must be finite and give finite rates")
+    return r
 
 
 def _invert(r: np.ndarray, cfg: GameConfig, margin: float = DEFAULT_FEASIBILITY_MARGIN):

@@ -2,12 +2,12 @@
 
 The oracle stays independent of the solver's search: `scalar_rate`
 re-derives the rate map with plain scalar arithmetic and shares no helpers
-with the vectorized implementation, `_upper_bound` finds the feasible
-interval by catching the utility's exceptions, and the grid searches certify
-optimality by exhaustive evaluation rather than by trusting the solver's line
-search.  Each grid row is evaluated by one stacked `model._utility_along`
-call; exact tests pin those values to one scalar `utility_rate_space` call
-per grid point.
+with the vectorized implementation, `_upper_bound` runs the literal interval
+search on feasibility judged by catching the utility's exceptions, and the
+grid searches certify optimality by exhaustive evaluation rather than by
+trusting the solver's line search.  Each grid row is evaluated by one stacked
+`model._utility_along` call; exact tests pin those values to one scalar
+`utility_rate_space` call per grid point.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from .equilibrium import EmptyFeasibleInterval
+from .equilibrium import (DEFAULT_MIN_RATE, EmptyFeasibleInterval, _check_min_rate,
+                          _interval_search)
 from .model import GameConfig, InfeasibilityError, _utility_along, utility_rate_space
 
 
@@ -58,21 +59,11 @@ def _feasible(i: int, x: float, r: np.ndarray, cfg: GameConfig) -> bool:
 
 def _upper_bound(i: int, r: np.ndarray, cfg: GameConfig, min_rate: float) -> float:
     """Feasibility boundary of sensor i's rate, probed through the utility."""
-    if not _feasible(i, min_rate, r, cfg):
+    lo, hi = _interval_search(lambda x: _feasible(i, x, r, cfg), min_rate)
+    if lo is None:
         raise EmptyFeasibleInterval(i, min_rate)
-    lo, hi = min_rate, max(1.0, 2.0 * min_rate)
-    for _ in range(200):
-        if not _feasible(i, hi, r, cfg):
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
+    if hi == math.inf:
         raise RuntimeError("no infeasible upper rate found")
-    while hi - lo > 1e-12 * max(1.0, lo):
-        mid = 0.5 * (lo + hi)
-        if _feasible(i, mid, r, cfg):
-            lo = mid
-        else:
-            hi = mid
     return lo
 
 
@@ -88,7 +79,7 @@ def grid_best_response(
     r_others,
     cfg: GameConfig,
     grid_points: int,
-    min_rate: float = 0.1,
+    min_rate: float = DEFAULT_MIN_RATE,
 ) -> float:
     """Argmax of sensor i's utility over a uniform grid of own-rates.
 
@@ -97,6 +88,7 @@ def grid_best_response(
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
+    _check_min_rate(min_rate)
     r = np.insert(np.asarray(r_others, dtype=float), i, min_rate)
     grid, values = _grid_utilities(i, r, cfg, grid_points, min_rate)
     return float(grid[np.argmax(values)])      # the first maximum
@@ -106,7 +98,7 @@ def grid_certify_ne(
     r_star,
     cfg: GameConfig,
     grid_points: int,
-    min_rate: float = 0.1,
+    min_rate: float = DEFAULT_MIN_RATE,
 ) -> float:
     """Worst unilateral grid-deviation gain at the profile r_star.
 
@@ -115,6 +107,7 @@ def grid_certify_ne(
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
+    _check_min_rate(min_rate)
     r_star = np.asarray(r_star, dtype=float)
     worst = -math.inf
     for i in range(cfg.n_sensors):

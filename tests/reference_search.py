@@ -201,30 +201,6 @@ def best_response(i: int, rates, cfg, min_rate: float) -> float:
     return best_x
 
 
-def verify_worst_gain(r_star, cfg, grid_points: int, min_rate: float) -> float:
-    r_star = np.asarray(r_star, dtype=float)
-    worst = -math.inf
-    r = r_star.copy()
-    for i in range(cfg.n_sensors):
-        base = utility_rate_space(i, r_star, cfg)
-        hi = rate_upper_bound(i, r_star, cfg, min_rate)
-        grid = np.linspace(min_rate, hi, grid_points)
-
-        def u_of(x: float) -> float:
-            r[i] = x
-            return utility_rate_space(i, r, cfg)
-
-        values = [u_of(float(x)) for x in grid]
-        k = int(np.argmax(values))
-        a = float(grid[max(k - 1, 0)])
-        b = float(grid[min(k + 1, grid_points - 1)])
-        _, u_best = golden_max(u_of, a, b)
-        u_best = max(u_best, values[k])
-        r[i] = r_star[i]
-        worst = max(worst, u_best - base)
-    return worst
-
-
 def grid_best_response(i: int, r_others, cfg, grid_points: int,
                        min_rate: float = 0.1) -> float:
     others = np.asarray(r_others, dtype=float)

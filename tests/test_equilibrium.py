@@ -625,6 +625,22 @@ def test_verify_rejects_a_nan_infinite_or_negative_min_rate(sec4_cfg, monkeypatc
     assert str(e.value) == "min_rate must be finite and >= 0"
 
 
+@pytest.mark.parametrize("min_rate", [math.nan, math.inf, -math.inf, -1.0])
+def test_interval_searches_reject_a_nan_infinite_or_negative_min_rate(sec4_cfg, min_rate):
+    # named as min_rate, not as the profile entry the search would set to it
+    r = np.full(10, 0.3)
+    calls = {
+        "rate_upper_bound": lambda: rate_upper_bound(2, r, sec4_cfg, min_rate),
+        "grid_best_response":
+            lambda: oracle.grid_best_response(2, np.delete(r, 2), sec4_cfg, 64, min_rate),
+        "grid_certify_ne": lambda: oracle.grid_certify_ne(r, sec4_cfg, 64, min_rate),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError) as e:
+            call()
+        assert str(e.value) == "min_rate must be finite and >= 0", name
+
+
 def test_verify_accepts_a_zero_epsilon_and_two_grid_points(single_interior_cfg):
     br = best_response(0, np.array([]), single_interior_cfg)
     ok, worst = verify_epsilon_ne(np.array([br]), single_interior_cfg, 0.0, 2)

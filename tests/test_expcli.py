@@ -508,10 +508,13 @@ def test_verify_command(tmp_path, capsys):
 
 
 def test_module_invocation_end_to_end(tmp_path):
+    import os
     import subprocess
     import sys
 
     out = tmp_path / "solve.csv"
+    # the checkout's package, whether or not the caller set PYTHONPATH
+    path = os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run(
         [
             sys.executable, "-m", "crowdgame.expcli",
@@ -519,6 +522,7 @@ def test_module_invocation_end_to_end(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == EXIT_OK
     assert out.read_text().startswith("sensor_id,rate,power")

@@ -131,6 +131,15 @@ def test_forward_rates_and_power_space_utility_reject_non_finite_powers(sec4_cfg
         utility_power_space(0, p, sec4_cfg)
 
 
+@pytest.mark.parametrize("powers", [[1e308] * 10, [1.5] * 9 + [1e308]])
+def test_forward_rates_and_power_space_utility_reject_overflowing_powers(sec4_cfg, powers):
+    # finite powers whose received signal or interference overflows, warning-free
+    for call in (forward_rates, lambda p, cfg: utility_power_space(0, p, cfg)):
+        with pytest.raises(ValueError) as e:
+            call(powers, sec4_cfg)
+        assert str(e.value) == "powers must be finite and give finite rates"
+
+
 def test_monotonic_interference(sec4_cfg):
     rng = np.random.default_rng(7)
     for _ in range(25):
