@@ -766,10 +766,12 @@ def test_simultaneous_steps_answer_within_1e_12_of_50_digits(sec4_cfg):
         assert _outcome(step, r, cfg, SolverOptions(min_rate=m)) == want
 
 
-def test_verify_is_no_lower_than_the_grid_oracle_and_within_1e_12_of_50_digits(
-    sec4_cfg, monkeypatch
-):
-    mp = pytest.importorskip("mpmath")
+def _verify_against_the_oracle(mp, cases, monkeypatch):
+    """For each (cfg, profile, min_rate, grid_points): verify's worst gain is
+    no lower than the grid oracle's, it is the largest gain of the utilities
+    verify answers with, and each interior answer is within 1e-12 relative of
+    the sensor's 50-digit maximum; where the oracle raises, verify raises the
+    same error. Returns the numbers of interior answers and of errors."""
     answers = []        # each sensor's (sensor, rate, end, utility) in verify
     best_responses = equilibrium._best_responses
 
@@ -779,9 +781,6 @@ def test_verify_is_no_lower_than_the_grid_oracle_and_within_1e_12_of_50_digits(
         return x, u
 
     monkeypatch.setattr(equilibrium, "_best_responses", recording)
-    rates = solve(sec4_cfg).rates
-    cases = [(sec4_cfg, rates, 0.1, 2000), (sec4_cfg, rates * 0.98, 0.1, 500)]
-    cases += [(cfg, r, m, 64) for cfg, r, m in _simultaneous_step_cases(sec4_cfg)]
     interior = errors = 0
     for cfg, r, m, points in cases:
         answers.clear()
@@ -804,7 +803,30 @@ def test_verify_is_no_lower_than_the_grid_oracle_and_within_1e_12_of_50_digits(
                     top = f(root)[0]
                     assert abs(u - top) <= 1e-12 * abs(top), (i, m)
                     interior += 1
-    assert interior > 1000 and errors > 40
+    return interior, errors
+
+
+def test_verify_worst_gain_matches_reference(sec4_cfg, monkeypatch):
+    # the references are the grid oracle and the 50-digit maxima, on the sec4
+    # solution at 2000 and 500 points and on every method's sec4 trace
+    mp = pytest.importorskip("mpmath")
+    rates = solve(sec4_cfg).rates
+    cases = [(sec4_cfg, rates, 0.1, 2000), (sec4_cfg, rates * 0.98, 0.1, 500)]
+    cases += [(sec4_cfg, r, 0.1, 64) for method in equilibrium._METHODS
+              for r in solve(sec4_cfg, SolverOptions(method=method, max_iter=40)).trace]
+    interior, errors = _verify_against_the_oracle(mp, cases, monkeypatch)
+    assert interior > 200
+
+
+def test_verify_worst_gain_matches_reference_on_boundary_and_tiled_profiles(
+    sec4_cfg, monkeypatch
+):
+    # the same references on every fourth of _step_cases: empty intervals,
+    # profiles on the feasibility boundary and sec4 tiled to n = 160
+    mp = pytest.importorskip("mpmath")
+    cases = [(cfg, r, m, 64) for cfg, r, m in _step_cases(sec4_cfg)[::4]]
+    interior, errors = _verify_against_the_oracle(mp, cases, monkeypatch)
+    assert interior > 800 and errors > 40
 
 
 def _sequential_gradient_step(r, cfg, opts):
