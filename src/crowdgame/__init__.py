@@ -23,13 +23,13 @@ from .model import (
     forward_rates,
     invert_rates,
     transaction_fee,
-    utility_gradient,
     utility_gradient_analytic,
     utility_power_space,
     utility_rate_space,
     utility_second_derivative,
     wpt_cost,
 )
+from .oracle import utility_gradient
 
 __version__ = "0.1.0"
 

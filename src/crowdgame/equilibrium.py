@@ -93,6 +93,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_WIDTH = 1e-10       # target bracket width of the golden-section stage
 _COARSE_GRID = 64           # bracketing grid points in best_response
 _FOC_TOL = 1e-11            # target residual of the Newton refinement
+_HALVINGS = 0.5 ** np.arange(47)    # Newton line-search steps: 2^-k above 1e-14
 _REFINE_RETRY = 50          # dynamics iterations between refinement attempts
 _GOLDEN_TAIL = 4            # last golden-section steps speculated on both sections
 _POLISH_TAIL = 2            # last bisection steps speculated on both halves
@@ -343,7 +344,9 @@ def _best_responses(sensors: np.ndarray, r: np.ndarray, cfg: GameConfig,
     point, the last three read from the grid (np.linspace keeps its ends
     exact); ties go to the smaller rate and a NaN never wins."""
     grid = np.linspace(min_rate, ends, points, axis=1)
-    u = _own_utilities(np.repeat(sensors, points), r, grid.ravel(), cfg).reshape(-1, points)
+    # one sensor takes _own_rows' scalar-index path, the faster one
+    who = sensors[0] if sensors.size == 1 else np.repeat(sensors, points)
+    u = _own_utilities(who, r, grid.ravel(), cfg).reshape(-1, points)
     rows, k = np.arange(sensors.size), np.argmax(u, axis=1)
     cell = np.clip(k[:, None] + [-1, 0, 1], 0, points - 1)
     a, top, b = grid[rows[:, None], cell].T
@@ -682,9 +685,10 @@ def _refine_newton(
 
     Moves along the Newton direction of the free sensors (those off the
     min_rate bound or pushing away from it), backtracking until the candidate
-    is feasible and shrinks the first-order residual.  Returns the best
-    iterate found, the iterations spent, and whether the residual is small
-    enough to be worth a fixed-point verification.
+    is feasible and shrinks the first-order residual; one stacked pass judges
+    every halving's feasibility.  Returns the best iterate found, the
+    iterations spent, and whether the residual is small enough to be worth a
+    fixed-point verification.
     """
     r = np.maximum(r_start.copy(), min_rate)
     if float(r.sum()) <= 0.0 or not _profile_feasible(r, cfg):
@@ -703,18 +707,13 @@ def _refine_newton(
             return r, used, False
         direction = np.zeros_like(r)
         direction[idx] = step
-        s = 1.0
-        improved = False
-        while s > 1e-14:
-            cand = np.maximum(r + s * direction, min_rate)
-            if _profile_feasible(cand, cfg):
-                rc, gc, fc = _foc_residual(cand, cfg, min_rate)
-                if rc < resid * (1.0 - 0.25 * s) or rc < _FOC_TOL:
-                    r, resid, g, free = cand, rc, gc, fc
-                    improved = True
-                    break
-            s *= 0.5
-        if not improved:
+        cands = np.maximum(r + _HALVINGS[:, None] * direction, min_rate)
+        for k in np.flatnonzero(_invert(cands, cfg)[4]).tolist():
+            rc, gc, fc = _foc_residual(cands[k], cfg, min_rate)
+            if rc < resid * (1.0 - 0.25 * _HALVINGS[k]) or rc < _FOC_TOL:
+                r, resid, g, free = cands[k].copy(), rc, gc, fc
+                break
+        else:
             # stalled at the floating-point floor of the residual
             return r, used, resid < 1e-6
     return r, used, resid < 1e-6

@@ -293,11 +293,7 @@ def _as_rates(values, cfg: GameConfig) -> np.ndarray:
     return r
 
 
-def invert_rates(
-    rates: RateVector,
-    cfg: GameConfig,
-    feasibility_margin: float = DEFAULT_FEASIBILITY_MARGIN,
-) -> tuple[PowerVector, RateInversion]:
+def invert_rates(rates: RateVector, cfg: GameConfig) -> tuple[PowerVector, RateInversion]:
     """Received powers that realize a rate profile exactly.
 
     Closed form: the per-sensor SINRs gamma_i determine the load
@@ -306,12 +302,12 @@ def invert_rates(
     forward_rates reproduces the input to round-trip precision.
 
     Raises:
-        InfeasibleRates: T >= 1 - feasibility_margin, the rates lie outside
-            the image of any finite power profile.
+        InfeasibleRates: T >= 1 - DEFAULT_FEASIBILITY_MARGIN, the rates lie
+            outside the image of any finite power profile.
         PowerBoundExceeded: some sensor would need more than its power cap.
     """
     r = _as_rates(rates, cfg)
-    load, beta_sum, beta, p, ok = _invert(r, cfg, feasibility_margin)
+    load, beta_sum, beta, p, ok = _invert(r, cfg)
     if p is None:
         raise InfeasibleRates(load)
     if not ok:
@@ -438,36 +434,11 @@ def utility_power_space(i: int, powers: PowerVector, cfg: GameConfig) -> float:
 # derivatives in rate space
 # ---------------------------------------------------------------------------
 
-def utility_gradient(i: int, rates: RateVector, cfg: GameConfig) -> float:
-    """d u_i / d r_i by central difference (the normative implementation).
-
-    Relative step h = max(1e-6, 1e-6 * r_i).  If a perturbed point leaves the
-    feasible region the step is shrunk once by 10x before giving up.
-    """
-    _check_sensor_id(i, cfg)
-    r = _as_profile(rates, cfg, "rates")
-    if r[i] <= 0.0:
-        raise ValueError("utility_gradient needs a strictly interior r_i > 0")
-    h = max(1e-6, 1e-6 * float(r[i]))
-    if r[i] - h < 0.0:
-        h = 0.5 * float(r[i])
-    for attempt in range(2):
-        try:
-            up = utility_rate_space(i, _with_entry(r, i, r[i] + h), cfg)
-            dn = utility_rate_space(i, _with_entry(r, i, r[i] - h), cfg)
-            return (up - dn) / (2.0 * h)
-        except InfeasibilityError:
-            if attempt == 1:
-                raise
-            h *= 0.1
-    raise AssertionError("unreachable")
-
-
 def utility_gradient_analytic(i: int, rates: RateVector, cfg: GameConfig) -> float:
     """Closed-form d u_i / d r_i from the SINR decomposition.
 
-    Optional accelerator; must agree with utility_gradient to 1e-5 relative
-    (enforced by the test suite).
+    Must agree with the central difference oracle.utility_gradient to 1e-5
+    relative (enforced by the test suite).
     """
     _check_sensor_id(i, cfg)
     return float(gradient_all(_as_profile(rates, cfg, "rates"), cfg)[i])

@@ -5,9 +5,10 @@ re-derives the rate map with plain scalar arithmetic and shares no helpers
 with the vectorized implementation, `_upper_bound` runs the literal interval
 search on feasibility judged by catching the utility's exceptions, and the
 grid searches certify optimality by exhaustive evaluation rather than by
-trusting the solver's line search.  Each grid row is evaluated by one stacked
-`model._utility_along` call; exact tests pin those values to one scalar
-`utility_rate_space` call per grid point.
+trusting the solver's line search.  Each grid row is evaluated by one
+stacked `model._utility_along` call; exact tests pin those values to one
+scalar `utility_rate_space` call per grid point.  `utility_gradient` is the
+central difference that judges the closed-form gradient from outside.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 
 from .equilibrium import (DEFAULT_MIN_RATE, EmptyFeasibleInterval, _check_min_rate,
                           _interval_search)
-from .model import GameConfig, InfeasibilityError, _utility_along, utility_rate_space
+from .model import (GameConfig, InfeasibilityError, RateVector, _as_profile, _check_sensor_id,
+                    _utility_along, _with_entry, utility_rate_space)
 
 
 def scalar_rate(i: int, powers, cfg: GameConfig) -> float:
@@ -46,6 +48,31 @@ def scalar_rate(i: int, powers, cfg: GameConfig) -> float:
     sinr = signal / (interference + cfg.noise_variance)
     # log2(1 + x) = log1p(x)/ln 2; log1p keeps tiny SINRs fully accurate
     return me.bandwidth * math.log1p(sinr) / math.log(2.0)
+
+
+def utility_gradient(i: int, rates: RateVector, cfg: GameConfig) -> float:
+    """d u_i / d r_i by central difference (the normative implementation).
+
+    Relative step h = max(1e-6, 1e-6 * r_i).  If a perturbed point leaves the
+    feasible region the step is shrunk once by 10x before giving up.
+    """
+    _check_sensor_id(i, cfg)
+    r = _as_profile(rates, cfg, "rates")
+    if r[i] <= 0.0:
+        raise ValueError("utility_gradient needs a strictly interior r_i > 0")
+    h = max(1e-6, 1e-6 * float(r[i]))
+    if r[i] - h < 0.0:
+        h = 0.5 * float(r[i])
+    for attempt in range(2):
+        try:
+            up = utility_rate_space(i, _with_entry(r, i, r[i] + h), cfg)
+            dn = utility_rate_space(i, _with_entry(r, i, r[i] - h), cfg)
+            return (up - dn) / (2.0 * h)
+        except InfeasibilityError:
+            if attempt == 1:
+                raise
+            h *= 0.1
+    raise AssertionError("unreachable")
 
 
 def _feasible(i: int, x: float, r: np.ndarray, cfg: GameConfig) -> bool:

@@ -9,7 +9,9 @@ the sequential search.  The same holds for the scalar
 copies of the grid oracle and of the existence check's sampling loop, which
 reads `reference_curvature`, the literal closed-form own curvature.  The
 kernel-based, stacked code must match them bit for bit: tests compare with
-`==`.  `utility_second_derivative` is a finite-difference copy that judges
+`==`.  `refine_newton` is the Newton refinement with its line search as
+the literal loop of one feasibility probe per halving.
+`utility_second_derivative` is a finite-difference copy that judges
 the closed form from outside, to a tolerance.
 """
 
@@ -22,9 +24,12 @@ import numpy as np
 from crowdgame import oracle
 from crowdgame.equilibrium import (
     _COARSE_GRID,
+    _FOC_TOL,
     _GOLDEN,
     _GOLDEN_WIDTH,
     EmptyFeasibleInterval,
+    _foc_hessian,
+    _foc_residual,
     _halton,
 )
 from crowdgame.model import (
@@ -133,6 +138,49 @@ def rate_upper_bound(i: int, rates, cfg, min_rate: float) -> float:
         else:
             hi = mid
     return lo
+
+
+def refine_newton(r_start: np.ndarray, cfg, min_rate: float, budget: int,
+                  halvings: list | None = None):
+    """equilibrium._refine_newton with its line search as the literal halving
+    loop: s = 1, 1/2, ... while s > 1e-14, one feasibility probe per halving,
+    and the residual test at each feasible one.  `halvings`, if given,
+    collects (step, s, feasible, accepted) for every probe."""
+    r = np.maximum(r_start.copy(), min_rate)
+    if float(r.sum()) <= 0.0 or not _feasible(r, cfg):
+        return r_start, 0, False
+    used = 0
+    resid, g, free = _foc_residual(r, cfg, min_rate)
+    for _ in range(min(100, budget)):
+        if resid < _FOC_TOL:
+            return r, used, True
+        used += 1
+        H = _foc_hessian(r, cfg)
+        idx = np.nonzero(free)[0]
+        try:
+            step = np.linalg.solve(H[np.ix_(idx, idx)], -g[idx])
+        except np.linalg.LinAlgError:
+            return r, used, False
+        direction = np.zeros_like(r)
+        direction[idx] = step
+        s = 1.0
+        improved = False
+        while s > 1e-14:
+            cand = np.maximum(r + s * direction, min_rate)
+            feasible = _feasible(cand, cfg)
+            if feasible:
+                rc, gc, fc = _foc_residual(cand, cfg, min_rate)
+                if rc < resid * (1.0 - 0.25 * s) or rc < _FOC_TOL:
+                    r, resid, g, free = cand, rc, gc, fc
+                    improved = True
+            if halvings is not None:
+                halvings.append((used, s, feasible, improved))
+            if improved:
+                break
+            s *= 0.5
+        if not improved:
+            return r, used, resid < 1e-6
+    return r, used, resid < 1e-6
 
 
 def golden_max(f, a: float, b: float) -> tuple[float, float]:

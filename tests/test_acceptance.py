@@ -18,11 +18,11 @@ from crowdgame.model import (
     forward_rates,
     invert_rates,
     transaction_fee,
-    utility_gradient,
     utility_gradient_analytic,
     utility_rate_space,
     utility_second_derivative,
 )
+from crowdgame.oracle import utility_gradient
 
 
 def report(number: int, description: str, ok: bool):

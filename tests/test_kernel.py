@@ -945,3 +945,90 @@ def test_a_jacobi_step_makes_one_feasibility_and_few_stacked_passes(sec4_cfg, mo
         got, outcomes = passes(step)
         answered = [c for c, o in zip(got, outcomes) if isinstance(o, np.ndarray)]
         assert len(answered) > 20 and all(c[-1] == 10 for c in answered)
+
+
+def test_verify_reads_each_sensors_grid_with_a_scalar_index(sec4_cfg, monkeypatch):
+    # one sensor's grid takes _own_rows' scalar-index path, the faster one;
+    # the per-row index array np.repeat(sensors, points) gives equal values
+    kernel, seen = equilibrium._own_utilities, []
+
+    def spy(i, r, x, cfg):
+        seen.append((np.ndim(i), x.size))
+        return kernel(i, r, x, cfg)
+
+    r = solve(sec4_cfg).rates
+    want = verify_epsilon_ne(r, sec4_cfg, 1e-6, 500)
+    monkeypatch.setattr(equilibrium, "_own_utilities", spy)
+    assert verify_epsilon_ne(r, sec4_cfg, 1e-6, 500) == want
+    assert [d for d, size in seen if size == 500] == [0] * 10
+
+
+@pytest.fixture(scope="module")
+def newton_calls(sec4_cfg):
+    """(r_start, cfg, min_rate, budget) of every _refine_newton call in the
+    sec4 solves of every method and in sec4 tiled to 160 sensors at min_rate
+    0.0025, from the equal load share 0.5, 50 iterations at most."""
+    sec4, calls, refine = sec4_cfg, [], equilibrium._refine_newton
+
+    def spy(*args):
+        calls.append(args)
+        return refine(*args)
+
+    big = _tiled(sec4, 160)
+    start = np.maximum(-big.bandwidths * np.log2(1.0 - 0.5 / 160), 0.0025)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equilibrium, "_refine_newton", spy)
+        for method in equilibrium._METHODS:
+            solve(sec4, SolverOptions(method=method))
+            solve(big, SolverOptions(method=method, min_rate=0.0025, init_rates=start,
+                                     max_iter=50))
+    return calls
+
+
+def _halving_kinds(call):
+    """The kind of each Newton step of ref.refine_newton on call: 'none
+    feasible', 'first fails' (the first feasible halving fails the residual
+    test) or 'first passes'."""
+    log = []
+    used = ref.refine_newton(*call, halvings=log)[1]
+    kinds = {}
+    for step, _, feasible, accepted in log:
+        if feasible and step not in kinds:
+            kinds[step] = "first passes" if accepted else "first fails"
+    return [kinds.get(step, "none feasible") for step in range(1, used + 1)]
+
+
+def _pinned(call):
+    want = ref.refine_newton(*call)
+    got = equilibrium._refine_newton(*call)
+    assert (got[0].tolist(), *got[1:]) == (want[0].tolist(), *want[1:])
+    return got
+
+
+def test_newton_line_search_equals_the_halving_loop(newton_calls):
+    s, loop = 1.0, []
+    while s > 1e-14:            # the loop's steps, which one stacked pass judges
+        loop.append(s)
+        s *= 0.5
+    assert equilibrium._HALVINGS.tolist() == loop
+    kinds = []
+    for call in newton_calls:
+        rates, used, _ = _pinned(call)
+        assert used == 0 or rates.base is None      # an owned array, not a stack row
+        kinds += _halving_kinds(call)
+    assert len(newton_calls) == 6 and len(kinds) > 60     # 76 Newton steps
+    assert {"none feasible", "first fails", "first passes"} <= set(kinds)
+
+
+@pytest.mark.parametrize("kind", ["none feasible", "first fails"])
+def test_newton_steps_with_no_feasible_halving_or_a_failing_first_one(newton_calls, kind):
+    # the iterate before the first such step, refined by that one step
+    call, step = next((c, k) for c in newton_calls
+                      for k, found in enumerate(_halving_kinds(c), 1) if found == kind)
+    r_start, cfg, m, _ = call
+    before = ref.refine_newton(r_start, cfg, m, step - 1)[0]
+    one = (before, cfg, m, 1)
+    assert _halving_kinds(one) == [kind]
+    rates, used, _ = _pinned(one)
+    assert used == 1
+    assert np.array_equal(rates, before) == (kind == "none feasible")

@@ -17,13 +17,13 @@ from crowdgame.model import (
     gradient_all,
     invert_rates,
     transaction_fee,
-    utility_gradient,
     utility_gradient_analytic,
     utility_power_space,
     utility_rate_space,
     utility_second_derivative,
     wpt_cost,
 )
+from crowdgame.oracle import utility_gradient
 
 
 # ---------------------------------------------------------------------------
