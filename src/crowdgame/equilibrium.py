@@ -117,6 +117,13 @@ def _check_min_rate(min_rate: float):
         raise ValueError("min_rate must be finite and >= 0")
 
 
+def _check_count(value, name: str, least: int):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 @dataclass
 class SolverOptions:
     """Knobs of the equilibrium search.
@@ -144,13 +151,11 @@ class SolverOptions:
             raise ValueError("tol must be finite and > 0")
         if not math.isfinite(self.step_size):
             raise ValueError("step_size must be finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        _check_count(self.max_iter, "max_iter", 1)
         if self.method == "gradient_ascent" and self.step_size <= 0:
             raise ValueError("step_size must be > 0 for gradient ascent")
         _check_min_rate(self.min_rate)
-        if self.refine_after < 0:
-            raise ValueError("refine_after must be >= 0")
+        _check_count(self.refine_after, "refine_after", 0)
 
 
 @dataclass
@@ -292,13 +297,13 @@ def _stationary_estimate(
     i: int, r: np.ndarray, cfg: GameConfig, lo: float, hi: float
 ) -> float:
     """Closed-form x_hat of the root of sensor i's own gradient on [lo, hi],
-    the others at r: safeguarded Newton on model._gradient's formula written
+    the others at r: safeguarded Newton on model._own_gradient's formula written
     in F = 1 - T_-i and R_-i; lo or hi where the gradient keeps one sign."""
     bw, bc = float(cfg.bandwidths[i]), cfg.blockchain
     t = -np.expm1(-LN2 * (r / cfg.bandwidths))
     free = 1.0 - (float(t.sum()) - float(t[i]))
     rest = float(r.sum()) - float(r[i])
-    kap = float(cfg.wpt_factors[i] * cfg.inv_gain_pathloss[i]) * cfg.noise_variance
+    kap = float(cfg.beta_cost_factors[i]) * cfg.noise_variance
     am2, c = bc.quad_coeff * bc.compute_coeff**2, bc.const_coeff
     lin = float(cfg.rate_prices[i]) - bc.lin_coeff * bc.compute_coeff
 
@@ -547,15 +552,18 @@ def best_response(
     Raises:
         EmptyFeasibleInterval: the opponents already saturate the channel.
     """
-    _check_sensor_id(i, cfg)
     opts = opts or SolverOptions()
+    full = _full_profile(i, r_others, cfg, opts.min_rate)
+    return _best_response_full(i, full, cfg, opts.min_rate)
+
+
+def _full_profile(i: int, r_others, cfg: GameConfig, min_rate: float) -> np.ndarray:
+    """The rates of every sensor but i, in index order, with min_rate at i."""
+    _check_sensor_id(i, cfg)
     others = np.asarray(r_others, dtype=float)
     if others.shape != (cfg.n_sensors - 1,):
-        raise ValueError(
-            f"r_others has shape {others.shape}, expected ({cfg.n_sensors - 1},)"
-        )
-    full = _as_rates(np.insert(others, i, opts.min_rate), cfg)
-    return _best_response_full(i, full, cfg, opts.min_rate)
+        raise ValueError(f"r_others has shape {others.shape}, expected ({cfg.n_sensors - 1},)")
+    return _as_rates(np.insert(others, i, min_rate), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +608,7 @@ def check_existence(
         InfeasibilityError: the region's lower corner is already infeasible,
             hence the whole region is.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_count(samples, "samples", 1)
     n = cfg.n_sensors
     lower = np.broadcast_to(np.asarray(region[0], dtype=float), (n,)).copy()
     upper = np.broadcast_to(np.asarray(region[1], dtype=float), (n,)).copy()
@@ -870,8 +877,7 @@ def verify_epsilon_ne(
     verdict and the worst improvement found (negative when r_star is a strict
     best response everywhere).
     """
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
+    _check_count(grid_points, "grid_points", 2)
     if not 0.0 <= epsilon < math.inf:
         raise ValueError("epsilon must be finite and >= 0")
     _check_min_rate(min_rate)

@@ -17,8 +17,8 @@ import math
 
 import numpy as np
 
-from .equilibrium import (DEFAULT_MIN_RATE, EmptyFeasibleInterval, _check_min_rate,
-                          _interval_search)
+from .equilibrium import (DEFAULT_MIN_RATE, EmptyFeasibleInterval, _check_count,
+                          _check_min_rate, _full_profile, _interval_search)
 from .model import (GameConfig, InfeasibilityError, RateVector, _as_profile, _check_sensor_id,
                     _utility_along, _with_entry, utility_rate_space)
 
@@ -113,10 +113,9 @@ def grid_best_response(
     Ties resolve toward the smallest rate.  `r_others` holds the rates of
     every sensor except i, in index order.
     """
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
+    _check_count(grid_points, "grid_points", 2)
     _check_min_rate(min_rate)
-    r = np.insert(np.asarray(r_others, dtype=float), i, min_rate)
+    r = _full_profile(i, r_others, cfg, min_rate)
     grid, values = _grid_utilities(i, r, cfg, grid_points, min_rate)
     return float(grid[np.argmax(values)])      # the first maximum
 
@@ -132,8 +131,7 @@ def grid_certify_ne(
     A value <= epsilon certifies an epsilon-Nash equilibrium at the grid's
     resolution.
     """
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
+    _check_count(grid_points, "grid_points", 2)
     _check_min_rate(min_rate)
     r_star = np.asarray(r_star, dtype=float)
     worst = -math.inf

@@ -59,7 +59,7 @@ def reference_invert(r: np.ndarray, cfg, margin: float = 1e-9):
     return ("ok", p, gamma, beta, beta_sum, load)
 
 
-GRADIENT_MARGIN = 1e-9      # model.DEFAULT_FEASIBILITY_MARGIN, as _gradient reads it
+GRADIENT_MARGIN = 1e-9      # model.DEFAULT_FEASIBILITY_MARGIN, as gradient_all reads it
 
 
 def reference_gradient(r: np.ndarray, cfg, margin: float | None = None) -> np.ndarray:

@@ -23,6 +23,7 @@ from crowdgame.model import (
     PowerBoundExceeded,
     blockchain_power,
     invert_rates,
+    transaction_fee,
     utility_rate_space,
 )
 
@@ -65,6 +66,53 @@ def test_solver_options_reject_bools(name, flag):
 def test_solver_options_accept_ints():
     opts = SolverOptions(tol=1, step_size=1, max_iter=3, min_rate=0, refine_after=0)
     assert (opts.tol, opts.step_size, opts.max_iter, opts.min_rate) == (1, 1, 3, 0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2.5])
+@pytest.mark.parametrize("name", ["max_iter", "refine_after"])
+def test_solver_options_reject_a_non_integer_count(name, value):
+    # refine_after=nan never refined, max_iter=nan ran no iteration and
+    # max_iter=2.5 ran 3
+    with pytest.raises(ValueError) as e:
+        SolverOptions(**{name: value})
+    assert str(e.value) == f"{name} must be an integer, not {value!r}"
+
+
+@pytest.mark.parametrize("count", [True, np.True_, 2.5, 3.0])
+def test_counts_reject_a_bool_or_a_non_integer(sec4_cfg, count):
+    # samples=True evaluated one point; 2.5 raised a bare TypeError
+    r = np.full(10, 0.2)
+    calls = [
+        ("samples", lambda: check_existence(sec4_cfg, samples=count)),
+        ("grid_points", lambda: verify_epsilon_ne(r, sec4_cfg, 1e-6, count)),
+        ("grid_points", lambda: oracle.grid_best_response(0, r[1:], sec4_cfg, count)),
+        ("grid_points", lambda: oracle.grid_certify_ne(r, sec4_cfg, count)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError) as e:
+            call()
+        assert str(e.value) == f"{name} must be an integer, not {count!r}"
+
+
+@pytest.mark.parametrize("call, sensor", [
+    (best_response, True),          # raised AttributeError: 'bool' object ...
+    (best_response, 1.5),           # raised TypeError: slice indices must be ...
+    (rate_upper_bound, 2.0),        # these raised NumPy's IndexError
+    (transaction_fee, 2.5),
+    (utility_rate_space, 2.5),
+])
+def test_public_calls_reject_a_non_integer_sensor_id(sec4_cfg, call, sensor):
+    rates = np.full(9 if call is best_response else 10, 0.2)
+    with pytest.raises(TypeError) as e:
+        call(sensor, rates, sec4_cfg)
+    assert str(e.value) == f"sensor id {sensor!r} is not an integer"
+
+
+def test_numpy_integer_sensor_ids_stay_accepted(sec4_cfg):
+    r = np.full(10, 0.2)
+    for k in (np.int64(3), np.int32(3), np.uint8(3)):
+        assert transaction_fee(k, r, sec4_cfg) == transaction_fee(3, r, sec4_cfg)
+        assert best_response(k, r[1:], sec4_cfg) == best_response(3, r[1:], sec4_cfg)
 
 
 def test_check_existence_sec4(sec4_cfg):

@@ -34,7 +34,6 @@ from crowdgame.model import (
     _curvatures,
     _invert,
     _own_gradients,
-    _utility,
     _utility_along,
     _with_entry,
     gradient_all,
@@ -105,7 +104,7 @@ def test_kernel_rows_match_single_profiles(sec4_cfg):
 
 def test_stacked_utilities_match_single_profiles(sec4_cfg, single_interior_cfg):
     grid = np.linspace(0.0, 0.5, 5)     # starts at a zero total rate
-    want = [_utility(0, np.array([x]), single_interior_cfg) for x in grid]
+    want = [utility_rate_space(0, np.array([x]), single_interior_cfg) for x in grid]
     assert np.array_equal(_utility_along(0, np.zeros(1), grid, single_interior_cfg), want)
     rng = np.random.default_rng(14)
     for i, points in ((0, 64), (4, 7000), (9, 2)):   # 7000 x 10 spans two chunks
@@ -115,7 +114,7 @@ def test_stacked_utilities_match_single_profiles(sec4_cfg, single_interior_cfg):
         want = []
         for x in grid:
             r[i] = x
-            want.append(_utility(i, r, sec4_cfg))
+            want.append(utility_rate_space(i, r, sec4_cfg))
         assert np.array_equal(_utility_along(i, r, grid, sec4_cfg), want)
         with pytest.raises((InfeasibleRates, PowerBoundExceeded)):
             _utility_along(i, r, grid * 1.01, sec4_cfg)
@@ -618,6 +617,47 @@ def test_stacked_gradients_equal_the_scalar_gradient(sec4_cfg, monkeypatch):
     assert _gradient_outcomes(sec4_cfg, r, 4, x) == want
 
 
+def test_each_quantity_has_one_value_on_every_path(sec4_cfg, monkeypatch):
+    # the fee, the utility and the own gradient by their one-sensor calls,
+    # their profile calls and the own-row kernels at x = r_i, through both
+    # index paths of _own_rows, at the default stack size and at 25 rates a
+    # stacked call; an own row is NaN where the one-sensor call raises
+    rng = np.random.default_rng(31)
+    games = [(sec4_cfg, 0.3), (_tiled(sec4_cfg, 160), 0.005)]
+    games += [(_random_game(rng, int(rng.integers(1, 8))), 0.4) for _ in range(12)]
+    u_kinds, g_kinds = set(), set()
+    for stack in (model._STACK_SIZE, 25):
+        monkeypatch.setattr(model, "_STACK_SIZE", stack)
+        for cfg, hi in games:
+            n, every = cfg.n_sensors, np.arange(cfg.n_sensors)
+            profiles = [np.zeros(n)] + [rng.uniform(0.0, s * hi, n) for s in (0.5, 1, 2, 4)]
+            if cfg is sec4_cfg:     # across the load limit and a power cap
+                profiles += _boundary_profiles(cfg, rng, 4)
+            for r in profiles:
+                fees = model._fees_all(r, cfg)
+                utilities = _outcome(model._utilities_all, r, cfg)
+                gradients = _outcome(gradient_all, r, cfg)
+                u_rows = model._own_utilities(every, r, r, cfg)
+                g_rows = _own_gradients(every, r, r, cfg)
+                for i in sorted({0, n // 2, n - 1}):
+                    assert model.transaction_fee(i, r, cfg) == fees[i]
+                    u = _outcome(utility_rate_space, i, r, cfg)
+                    u_own = model._own_utilities(i, r, r[[i]], cfg)[0]
+                    if isinstance(u, float):
+                        assert utilities[i] == u_rows[i] == u_own == u
+                    else:
+                        assert utilities == u and np.isnan([u_rows[i], u_own]).all()
+                    g_own = _own_gradients(i, r, r[[i]], cfg)[0]
+                    if isinstance(gradients, np.ndarray):
+                        assert g_rows[i] == g_own == gradients[i]
+                    else:
+                        assert np.isnan([g_rows[i], g_own]).all()
+                    u_kinds.add(float if isinstance(u, float) else u[0])
+                    g_kinds.add(float if isinstance(gradients, np.ndarray) else gradients[0])
+    assert u_kinds == {float, InfeasibleRates, PowerBoundExceeded}
+    assert g_kinds == {float, InfeasibleRates}
+
+
 def test_replay_table_reads_raise_the_scalar_kernels_errors(sec4_cfg):
     kinds = set()
     for others in (0.01, 0.12):     # quiet opponents: sensor 4's own cap binds first
@@ -626,7 +666,7 @@ def test_replay_table_reads_raise_the_scalar_kernels_errors(sec4_cfg):
         p = equilibrium._OwnRate(i, r, sec4_cfg)
         p.scan(0.0, hi)
         for x in (hi, hi * 1.001, hi * 1.5, 3.0):   # past the interval, then the load
-            want = _outcome(_utility, i, _with_entry(r, i, x), sec4_cfg)
+            want = _outcome(utility_rate_space, i, _with_entry(r, i, x), sec4_cfg)
             assert _outcome(p.read, x) == want
             kinds.add(want[0] if isinstance(want, tuple) else float)
             want = _outcome(_own_gradient, i, _with_entry(r, i, x), sec4_cfg)
@@ -664,13 +704,18 @@ def test_best_response_makes_few_stacked_kernel_calls(sec4_cfg, monkeypatch):
             return kernel(*args)
         return counted
 
-    def scalar(*args):
-        raise AssertionError("a scalar kernel call inside a search")
+    def stacked_only(formula):
+        def checked(*args):
+            if isinstance(args[-2], float):     # the total rate of one profile
+                raise AssertionError("a scalar kernel call inside a search")
+            return formula(*args)
+        return checked
 
     for name in ("_utility_along", "_own_utilities", "_own_gradients"):
         monkeypatch.setattr(equilibrium, name, counting(getattr(equilibrium, name)))
-    monkeypatch.setattr(model, "_utility", scalar)
-    monkeypatch.setattr(model, "_gradient", scalar)
+    # every utility, gradient and fee evaluation runs one of these formulas
+    for name in ("_fee", "_own_utility", "_own_gradient"):
+        monkeypatch.setattr(model, name, stacked_only(getattr(model, name)))
     answered = []
     for r in profiles:
         for i in range(10):

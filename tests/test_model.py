@@ -292,6 +292,14 @@ def test_transaction_fee_rejects_a_negative_or_non_finite_rate(sec4_cfg, bad):
         transaction_fee(1, r, sec4_cfg)
 
 
+@pytest.mark.parametrize("bad", [-0.1, math.inf, math.nan])
+def test_analytic_gradient_rejects_a_negative_or_non_finite_rate(sec4_cfg, bad):
+    # all-NaN rates gave nan and rates of -0.1 gave 19.99998962919084
+    with pytest.raises(ValueError) as e:
+        utility_gradient_analytic(0, np.full(10, bad), sec4_cfg)
+    assert str(e.value) == "rates must be finite and >= 0"
+
+
 def test_fee_conservation(sec4_cfg):
     rng = np.random.default_rng(5)
     for r in random_feasible_rates(rng, sec4_cfg, 50):

@@ -73,6 +73,24 @@ def test_grid_best_response_requires_two_points(sec4_cfg):
         oracle.grid_best_response(0, np.full(9, 0.2), sec4_cfg, 1)
 
 
+def test_grid_best_response_checks_the_sensor_first(sec4_cfg):
+    # NumPy's "index 10 is out of bounds for axis 0 with size 9" before
+    others = np.full(9, 0.2)
+    for call in (equilibrium.best_response, oracle.grid_best_response):
+        with pytest.raises(IndexError) as e:
+            call(10, others, sec4_cfg, *([100] if call is oracle.grid_best_response else []))
+        assert str(e.value) == "sensor id 10 out of range [0, 10)"
+
+
+def test_grid_best_response_checks_the_others_shape(sec4_cfg):
+    # "rates has shape (11,)" before: the full profile took one rate too many
+    rates = np.full(10, 0.2)
+    for call in (equilibrium.best_response, oracle.grid_best_response):
+        with pytest.raises(ValueError) as e:
+            call(3, rates, sec4_cfg, *([100] if call is oracle.grid_best_response else []))
+        assert str(e.value) == "r_others has shape (10,), expected (9,)"
+
+
 def test_grid_best_response_empty_interval():
     cfg = make_config([make_sensor(), make_sensor()])
     # the opponent swamps the channel: t_1 = 1 - 2^-6 leaves nothing feasible
