@@ -31,7 +31,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from . import equilibrium, model, oracle
-from .equilibrium import EmptyFeasibleInterval, SolverOptions
+from .equilibrium import SolverOptions
 from .model import BlockchainParams, GameConfig, InfeasibilityError, SensorParams
 
 EXIT_OK = 0
@@ -317,7 +317,7 @@ def run_sweep(spec: ExperimentSpec) -> int:
                 status = "non-convergence"
                 all_ok = False
             rates, utils = res.rates, res.utilities
-        except (ConfigError, InfeasibilityError, EmptyFeasibleInterval, ValueError) as e:
+        except (ConfigError, InfeasibilityError, ValueError) as e:
             status = f"error: {e}"
             all_ok = False
         if rates is None:
@@ -491,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InfeasibilityError, EmptyFeasibleInterval) as e:
+    except InfeasibilityError as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -58,7 +58,8 @@ PowerVector = np.ndarray
 
 
 class InfeasibilityError(Exception):
-    """Base class for rate vectors outside the image of the power box."""
+    """Base class for rate vectors outside the image of the power box, and
+    for a sensor with no feasible own rate (equilibrium.EmptyFeasibleInterval)."""
 
 
 class InfeasibleRates(InfeasibilityError):
@@ -137,6 +138,12 @@ class BlockchainParams:
             _require(math.isfinite(v), f.name, "must be finite")
             _require(v >= 0, f.name, "must be >= 0")
         _require(self.compute_coeff > 0, "compute_coeff", "must be > 0")
+        m = self.compute_coeff
+        _require(math.isfinite(m * m), "compute_coeff", "m^2 overflows")
+        _require(math.isfinite(self.quad_coeff * (m * m)), "quad_coeff", "a*m^2 overflows")
+        _require(math.isfinite(self.lin_coeff * m), "lin_coeff", "b*m overflows")
+        _require(math.isfinite(blockchain_power(1.0, self)), "compute_coeff",
+                 "the bill at total rate 1 overflows")
 
     @property
     def concavity_margin(self) -> float:
@@ -193,13 +200,21 @@ class GameConfig:
         self.rate_prices = grab("unit_rate_price")
         self.beacon_distances = grab("beacon_distance")
         self.power_caps = grab("max_received_power")
-        # d_i^alpha_i / g_i converts beta_i back to transmit power
-        self.inv_gain_pathloss = self.ap_distances**self.path_loss_exps / self.gains
-        # phi * (d^t_i)^eta converts received power to charging cost
-        self.wpt_factors = self.power_price * self.beacon_distances**self.wpt_path_loss_exp
-        # dt_i/dr_i = ln2/b_i * 2^(-r_i/b_i), and the charging cost per unit beta_i
-        self.ln2_per_bandwidth = LN2 / self.bandwidths
-        self.beta_cost_factors = self.wpt_factors * self.inv_gain_pathloss
+        with np.errstate(over="ignore", invalid="ignore"):     # checked below
+            # d_i^alpha_i / g_i converts beta_i back to transmit power
+            self.inv_gain_pathloss = self.ap_distances**self.path_loss_exps / self.gains
+            # phi * (d^t_i)^eta converts received power to charging cost
+            self.wpt_factors = self.power_price * self.beacon_distances**self.wpt_path_loss_exp
+            # dt_i/dr_i = ln2/b_i * 2^(-r_i/b_i), and the charging cost per unit beta_i
+            self.ln2_per_bandwidth = LN2 / self.bandwidths
+            self.beta_cost_factors = self.wpt_factors * self.inv_gain_pathloss
+        inv, wpt = ("ap_distance**path_loss_exp / channel_gain",
+                    "power_price * beacon_distance**wpt_path_loss_exp")
+        for name, formula in (("inv_gain_pathloss", inv), ("wpt_factors", wpt),
+                              ("beta_cost_factors", f"{wpt} * {inv}"),
+                              ("ln2_per_bandwidth", "ln2 / bandwidth")):
+            finite = np.isfinite(getattr(self, name))
+            _require(finite.all(), f"sensors[{np.argmin(finite)}]", f"{formula} is not finite")
 
     @property
     def n_sensors(self) -> int:

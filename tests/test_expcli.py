@@ -8,12 +8,14 @@ import pytest
 
 from conftest import REPO_ROOT, SEC4_CONFIG_PATH
 from crowdgame import expcli
+from crowdgame.equilibrium import EmptyFeasibleInterval
 from crowdgame.expcli import (
     EXIT_CONFIG,
     EXIT_EXISTENCE,
     EXIT_INFEASIBLE,
     EXIT_NONCONVERGENCE,
     EXIT_OK,
+    EXIT_VERIFY,
     ConfigError,
     ExperimentSpec,
     config_to_dict,
@@ -22,6 +24,7 @@ from crowdgame.expcli import (
     run_sweep,
     save_config,
 )
+from crowdgame.model import InfeasibilityError
 
 SINGLE_DOC = {
     "sensors": {
@@ -255,6 +258,25 @@ def test_a_huge_integer_reads_as_inf(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: power_price: must be finite and >= 0\n"
 
 
+@pytest.mark.parametrize("edits, message", [
+    ({"blockchain.compute_coeff": 1e200}, "blockchain: compute_coeff: m^2 overflows"),
+    ({"sensors.ap_distance": 10.0, "sensors.path_loss_exp": 400.0},
+     "sensors[0]: ap_distance**path_loss_exp / channel_gain is not finite"),
+    ({"sensors.beacon_distance": 10.0, "wpt_path_loss_exp": 400.0},
+     "sensors[0]: power_price * beacon_distance**wpt_path_loss_exp is not finite"),
+])
+def test_overflowing_sec4_constants_exit_3_naming_the_field(tmp_path, capsys, edits, message):
+    doc = json.loads(SEC4_CONFIG_PATH.read_text())
+    for path, value in edits.items():
+        expcli._set_param(doc, path, value)
+    with pytest.raises(ConfigError) as e:
+        load_config(write_doc(tmp_path, doc))
+    assert str(e.value) == message and isinstance(e.value.__cause__, ValueError)
+    for command in ("solve", "check"):
+        assert main([command, "--config", write_doc(tmp_path, doc)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -389,6 +411,29 @@ def test_check_infeasible_region_exit_code():
         ]
     )
     assert code == EXIT_INFEASIBLE
+
+
+def test_an_empty_feasible_interval_exits_4(monkeypatch, capsys):
+    assert issubclass(EmptyFeasibleInterval, InfeasibilityError)
+
+    def empty(cfg, opts):
+        raise EmptyFeasibleInterval(3, 0.5)
+
+    monkeypatch.setattr(expcli.equilibrium, "solve", empty)
+    assert main(["solve", "--config", str(SEC4_CONFIG_PATH)]) == EXIT_INFEASIBLE
+    assert capsys.readouterr() == ("", "infeasible: sensor 3: no feasible rate >= min_rate 0.5\n")
+
+
+def test_verify_exits_7_when_a_gain_exceeds_epsilon(tmp_path, monkeypatch, capsys):
+    def gaining(r_star, cfg, epsilon, *args):
+        return False, 10.0 * epsilon
+
+    monkeypatch.setattr(expcli.equilibrium, "verify_epsilon_ne", gaining)
+    argv = ["verify", "--config", write_doc(tmp_path, SINGLE_DOC), "--grid-points", "50"]
+    assert main(argv) == EXIT_VERIFY
+    out = capsys.readouterr().out
+    assert "worst unilateral gain (refined search): 1e-05\n" in out
+    assert out.endswith("verified: False\n")
 
 
 def test_config_error_exit_code(tmp_path):

@@ -563,9 +563,8 @@ def test_best_response_evaluates_only_finite_utilities(sec4_cfg, monkeypatch):
 
 @pytest.mark.parametrize("tails", [0, 6])
 def test_speculated_tail_depth_changes_no_answer(hard_reference, monkeypatch, tails):
-    # 0: the guessed path alone; 6: both branches from width ~1e-9 (golden) down
+    # 0: the guessed path alone; 6: both sections from width ~1e-9 down
     monkeypatch.setattr(equilibrium, "_GOLDEN_TAIL", tails)
-    monkeypatch.setattr(equilibrium, "_POLISH_TAIL", tails)
     cases, want = hard_reference
     assert [_outcome(_best_response_full, i, r, cfg, m) for cfg, r, i, m in cases] == want
 

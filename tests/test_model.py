@@ -67,6 +67,44 @@ def test_game_config_mirrors_integer_constants_as_floats():
     assert cfg.bandwidths[0] == 2.0 and cfg.circuit_powers[0] == 1.0
 
 
+@pytest.mark.parametrize("coeffs, message", [
+    ((0.1, 0.1, 0.1, 1e200), "compute_coeff: m^2 overflows"),
+    ((1e308, 0.1, 0.1, 3.0), "quad_coeff: a*m^2 overflows"),
+    ((0.1, 1e308, 0.1, 3.0), "lin_coeff: b*m overflows"),
+    ((1e308, 1e308, 0.1, 1.0), "compute_coeff: the bill at total rate 1 overflows"),
+])
+def test_blockchain_params_reject_an_overflowing_bill_naming_the_field(coeffs, message):
+    with pytest.raises(ValueError) as e:
+        BlockchainParams(*coeffs)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("sensor, game, message", [
+    (dict(ap_distance=10.0, path_loss_exp=400.0), {},
+     "ap_distance**path_loss_exp / channel_gain is not finite"),
+    (dict(beacon_distance=10.0), dict(wpt_path_loss_exp=400.0),
+     "power_price * beacon_distance**wpt_path_loss_exp is not finite"),
+    (dict(beacon_distance=10.0, ap_distance=10.0, path_loss_exp=200.0),
+     dict(wpt_path_loss_exp=200.0, power_price=1.0),
+     "power_price * beacon_distance**wpt_path_loss_exp * ap_distance**path_loss_exp"
+     " / channel_gain is not finite"),
+    (dict(bandwidth=1e-310), {}, "ln2 / bandwidth is not finite"),
+])
+def test_game_config_rejects_overflowing_constants_naming_the_sensor(sensor, game, message):
+    with pytest.raises(ValueError) as e:
+        make_config([make_sensor(), make_sensor(**sensor)], **game)
+    assert str(e.value) == f"sensors[1]: {message}"
+
+
+def test_constants_that_underflow_to_zero_stay_legal():
+    bc = BlockchainParams(0.1, 0.1, 0.1, 1e-200)
+    assert bc.concavity_margin == -0.1
+    cfg = make_config([make_sensor(ap_distance=0.1, path_loss_exp=400.0, beacon_distance=0.1)],
+                      wpt_path_loss_exp=400.0, blockchain=bc)
+    assert cfg.inv_gain_pathloss[0] == cfg.wpt_factors[0] == cfg.beta_cost_factors[0] == 0.0
+    assert transaction_fee(0, [0.0], cfg) == 0.0
+
+
 def _build(kind, **values):
     """A sensor, blockchain or game of the conftest defaults, with `values`."""
     if kind == "sensor":
