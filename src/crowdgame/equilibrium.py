@@ -108,9 +108,9 @@ class EmptyFeasibleInterval(InfeasibilityError):
         self.sensor = sensor
 
 
-def _check_min_rate(min_rate: float):
-    if not 0.0 <= min_rate < math.inf:
-        raise ValueError("min_rate must be finite and >= 0")
+def _check_nonnegative(value: float, name: str):
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0")
 
 
 def _check_count(value, name: str, least: int):
@@ -150,7 +150,7 @@ class SolverOptions:
         _check_count(self.max_iter, "max_iter", 1)
         if self.method == "gradient_ascent" and self.step_size <= 0:
             raise ValueError("step_size must be > 0 for gradient ascent")
-        _check_min_rate(self.min_rate)
+        _check_nonnegative(self.min_rate, "min_rate")
         _check_count(self.refine_after, "refine_after", 0)
 
 
@@ -237,8 +237,9 @@ def rate_upper_bound(
 
     Raises:
         EmptyFeasibleInterval: even min_rate is infeasible against `rates`.
+        ValueError: a degenerate config, feasible at every rate below 2^200.
     """
-    _check_min_rate(min_rate)
+    _check_nonnegative(min_rate, "min_rate")
     _check_sensor_id(i, cfg)
     r = np.array(rates, dtype=float)
     r[i] = min_rate
@@ -281,7 +282,7 @@ def _bound_search(i: int, r: np.ndarray, cfg: GameConfig, min_rate: float):
     if lo is None:
         raise EmptyFeasibleInterval(i, min_rate)
     if hi == math.inf:
-        raise RuntimeError("no infeasible upper rate found; config degenerate")
+        raise ValueError(f"sensor {i}: no infeasible upper rate found; config degenerate")
     return lo
 
 
@@ -591,6 +592,8 @@ def check_existence(
     Raises:
         InfeasibilityError: the region's lower corner is already infeasible,
             hence the whole region is.
+        ValueError: a bad region or count, or fewer than `samples` feasible
+            points among the first 200 * samples.
     """
     _check_count(samples, "samples", 1)
     n = cfg.n_sensors
@@ -627,7 +630,7 @@ def check_existence(
         if evaluated >= samples:
             break
     if evaluated < samples:
-        raise RuntimeError(
+        raise ValueError(
             f"could only evaluate {evaluated}/{samples} points in the region; "
             "almost all of it is infeasible"
         )
@@ -755,7 +758,8 @@ def solve(cfg: GameConfig, opts: SolverOptions | None = None) -> EquilibriumResu
     """Find the Nash equilibrium via the dynamics selected in `opts`.
 
     Non-convergence within max_iter is reported through the result's
-    `converged` flag, never raised.  An infeasible initial profile raises.
+    `converged` flag, never raised.  An infeasible initial profile raises
+    InfeasibilityError; a degenerate config (see rate_upper_bound) ValueError.
     """
     opts = opts or SolverOptions()
     n = cfg.n_sensors
@@ -862,9 +866,8 @@ def verify_epsilon_ne(
     best response everywhere).
     """
     _check_count(grid_points, "grid_points", 2)
-    if not 0.0 <= epsilon < math.inf:
-        raise ValueError("epsilon must be finite and >= 0")
-    _check_min_rate(min_rate)
+    _check_nonnegative(epsilon, "epsilon")
+    _check_nonnegative(min_rate, "min_rate")
     r_star = np.asarray(r_star, dtype=float)
     base = _utilities_all(r_star, cfg)
     best = [_best_responses(np.array([i]), r_star, cfg, min_rate,

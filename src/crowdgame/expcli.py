@@ -24,14 +24,13 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import equilibrium, model, oracle
-from .equilibrium import SolverOptions
+from .equilibrium import SolverOptions, _check_count, _check_nonnegative
 from .model import BlockchainParams, GameConfig, InfeasibilityError, SensorParams
 
 EXIT_OK = 0
@@ -46,8 +45,9 @@ EXIT_VERIFY = 7
 _OBJECTS = {"": GameConfig, "sensors.": SensorParams, "blockchain.": BlockchainParams}
 
 
-class ConfigError(Exception):
-    """A config document failed to parse or violated a type invariant."""
+class ConfigError(ValueError):
+    """A config document failed to parse or violated a type invariant; like
+    every bad or degenerate input the library rejects, a ValueError (exit 3)."""
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +145,10 @@ def _build_config(doc: dict) -> GameConfig:
     bc_doc = doc["blockchain"]
     if not isinstance(bc_doc, dict):
         raise ConfigError("'blockchain' must be an object")
-    bc_fields = _check_fields(bc_doc, "blockchain.")
+    bc = {key: _number(bc_doc[key], f"blockchain.{key}")   # its message stays unprefixed
+          for key in _check_fields(bc_doc, "blockchain.")}
     try:
-        blockchain = BlockchainParams(
-            **{key: _number(bc_doc[key], f"blockchain.{key}") for key in bc_fields}
-        )
+        blockchain = BlockchainParams(**bc)
     except ValueError as e:
         raise ConfigError(f"blockchain: {e}") from e
 
@@ -224,14 +223,11 @@ class ExperimentSpec:
         if self.command == "br-curve":
             if self.curve_sensor is None:
                 raise ConfigError("br-curve requires curve_sensor")
-            if self.curve_points < 2:
-                raise ConfigError("points must be >= 2")
+            _check_count(self.curve_points, "points", 2)
         elif self.curve_sensor is not None:
             raise ConfigError("curve_sensor is only valid for br-curve")
-        if self.grid_points < 2:
-            raise ConfigError("grid_points must be >= 2")
-        if not 0.0 <= self.epsilon < math.inf:
-            raise ConfigError("epsilon must be finite and >= 0")
+        _check_count(self.grid_points, "grid_points", 2)
+        _check_nonnegative(self.epsilon, "epsilon")
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +313,7 @@ def run_sweep(spec: ExperimentSpec) -> int:
                 status = "non-convergence"
                 all_ok = False
             rates, utils = res.rates, res.utilities
-        except (ConfigError, InfeasibilityError, ValueError) as e:
+        except (ValueError, InfeasibilityError) as e:
             status = f"error: {e}"
             all_ok = False
         if rates is None:
@@ -488,7 +484,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         spec = _spec_from_args(args)
         return _RUNNERS[spec.command](spec)
-    except (ConfigError, ValueError) as e:
+    except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except InfeasibilityError as e:

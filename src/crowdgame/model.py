@@ -290,24 +290,24 @@ def forward_rates(powers: PowerVector, cfg: GameConfig) -> RateVector:
     return r
 
 
-def _invert(r: np.ndarray, cfg: GameConfig, margin: float = DEFAULT_FEASIBILITY_MARGIN):
+def _invert(r: np.ndarray, cfg: GameConfig):
     """(load, beta_sum, beta, powers, ok) of a profile (n,) or of each row of (k, n).
 
-    `ok` is False where T >= 1 - margin, a power exceeds its cap or a rate is
-    NaN; one profile with infeasible load returns None for the arrays.
+    `ok` is False where T >= 1 - DEFAULT_FEASIBILITY_MARGIN, a power exceeds its
+    cap or a rate is NaN; one profile with infeasible load returns None for the arrays.
     """
     t = -np.expm1(-LN2 * (r / cfg.bandwidths))  # gamma/(1+gamma), computed stably
     s2 = cfg.noise_variance
     if r.ndim == 1:
         load = float(t.sum())
-        if not load < 1.0 - margin:
+        if not load < 1.0 - DEFAULT_FEASIBILITY_MARGIN:
             return load, None, None, None, False
         beta_sum = s2 * load / (1.0 - load)
         beta = t * (beta_sum + s2)
         p = cfg.circuit_powers + beta * cfg.inv_gain_pathloss
         return load, beta_sum, beta, p, bool((p <= cfg.power_caps).all())
     load = t.sum(axis=1)
-    ok = load < 1.0 - margin
+    ok = load < 1.0 - DEFAULT_FEASIBILITY_MARGIN
     safe = np.where(ok, load, 0.0)
     beta_sum = s2 * safe / (1.0 - safe)
     beta = t * (beta_sum + s2)[:, None]

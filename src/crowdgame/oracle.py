@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .equilibrium import (DEFAULT_MIN_RATE, EmptyFeasibleInterval, _check_count,
-                          _check_min_rate, _full_profile, _interval_search)
+                          _check_nonnegative, _full_profile, _interval_search)
 from .model import (GameConfig, InfeasibilityError, RateVector, _as_profile, _check_sensor_id,
                     _utility_along, _with_entry, utility_rate_space)
 
@@ -72,7 +72,6 @@ def utility_gradient(i: int, rates: RateVector, cfg: GameConfig) -> float:
             if attempt == 1:
                 raise
             h *= 0.1
-    raise AssertionError("unreachable")
 
 
 def _feasible(i: int, x: float, r: np.ndarray, cfg: GameConfig) -> bool:
@@ -90,7 +89,7 @@ def _upper_bound(i: int, r: np.ndarray, cfg: GameConfig, min_rate: float) -> flo
     if lo is None:
         raise EmptyFeasibleInterval(i, min_rate)
     if hi == math.inf:
-        raise RuntimeError("no infeasible upper rate found")
+        raise ValueError(f"sensor {i}: no infeasible upper rate found")
     return lo
 
 
@@ -114,7 +113,7 @@ def grid_best_response(
     every sensor except i, in index order.
     """
     _check_count(grid_points, "grid_points", 2)
-    _check_min_rate(min_rate)
+    _check_nonnegative(min_rate, "min_rate")
     r = _full_profile(i, r_others, cfg, min_rate)
     grid, values = _grid_utilities(i, r, cfg, grid_points, min_rate)
     return float(grid[np.argmax(values)])      # the first maximum
@@ -132,7 +131,7 @@ def grid_certify_ne(
     resolution.
     """
     _check_count(grid_points, "grid_points", 2)
-    _check_min_rate(min_rate)
+    _check_nonnegative(min_rate, "min_rate")
     r_star = np.asarray(r_star, dtype=float)
     worst = -math.inf
     for i in range(cfg.n_sensors):

@@ -351,7 +351,7 @@ def check_existence_sampling(cfg, region, samples: int):
             worst_sensor = j
             worst_point = point.copy()
     if evaluated < samples:
-        raise RuntimeError(
+        raise ValueError(
             f"could only evaluate {evaluated}/{samples} points in the region; "
             "almost all of it is infeasible"
         )

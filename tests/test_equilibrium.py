@@ -509,6 +509,46 @@ def test_solve_stops_where_neither_dynamics_nor_refinement_can_start(
     assert np.array_equal(res.rates, start)
 
 
+def test_newton_stops_where_its_system_is_singular(sec4_cfg, monkeypatch):
+    monkeypatch.setattr(equilibrium, "_foc_hessian", lambda r, cfg: np.zeros((10, 10)))
+    start = np.full(10, 0.2)
+    r, used, worth_verifying = equilibrium._refine_newton(start, sec4_cfg, 0.1, 10)
+    assert np.array_equal(r, start) and (used, worth_verifying) == (1, False)
+
+
+def test_solve_stops_unconverged_where_the_certificate_cannot_run(sec4_cfg, sec4_solution,
+                                                                  monkeypatch):
+    # every dynamics step raises: refine at once, then the certifying step
+    # raises too, so the refined answer stays unconverged with residual inf
+    def raising(r, cfg, opts):
+        raise EmptyFeasibleInterval(0, opts.min_rate)
+
+    monkeypatch.setitem(equilibrium._STEPPERS, "gauss_seidel_br", raising)
+    res = solve(sec4_cfg)
+    assert (res.converged, res.residual, len(res.trace)) == (False, math.inf, 2)
+    assert np.allclose(res.rates, sec4_solution.rates, rtol=0.0, atol=1e-9)
+
+
+def _sec4_with_bandwidth(cfg, bandwidth):
+    """cfg with sensor 0's bandwidth at `bandwidth`."""
+    return replace(cfg, sensors=[replace(cfg.sensors[0], bandwidth=bandwidth), *cfg.sensors[1:]])
+
+
+def test_a_degenerate_config_raises_value_error(sec4_cfg):
+    # at bandwidth 1e61 sensor 0's interval end, 7.3e60, lies past the search's
+    # last doubling, 2^200: a RuntimeError before
+    cfg, r = _sec4_with_bandwidth(sec4_cfg, 1e61), np.full(10, 0.2)
+    with pytest.raises(ValueError) as e:
+        rate_upper_bound(0, r, cfg)
+    assert str(e.value) == "sensor 0: no infeasible upper rate found; config degenerate"
+    with pytest.raises(ValueError) as e:
+        oracle.grid_best_response(0, r[1:], cfg, 100)
+    assert str(e.value) == "sensor 0: no infeasible upper rate found"
+    assert rate_upper_bound(1, r, cfg) < 2.0
+    below = _sec4_with_bandwidth(sec4_cfg, 1e60)      # its end is 7.3e59 < 2^200
+    assert rate_upper_bound(0, r, below) == pytest.approx(7.3006e59, rel=1e-4)
+
+
 @pytest.mark.parametrize("method", ["gauss_seidel_br", "jacobi_br", "gradient_ascent"])
 def test_solve_never_raises_on_random_games(method):
     rng = np.random.default_rng(37)

@@ -516,8 +516,103 @@ def test_check_rejects_a_nan_region_low(capsys):
     assert err == "config error: region must satisfy 0 < lower <= upper\n"
 
 
-# The README's --out commands and the masks bench/run.py applies to solver
-# effort (iterations, residual) before comparing with bench/expected/.
+def test_check_exits_3_when_too_few_region_points_are_feasible(capsys):
+    # a RuntimeError traceback and exit 1 before
+    code = main(["check", "--config", str(SEC4_CONFIG_PATH), "--region-high", "5"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr() == ("", "config error: could only evaluate 1/1000 points "
+                                       "in the region; almost all of it is infeasible\n")
+
+
+def _sec4_with_bandwidth(tmp_path, bandwidth):
+    """sec4 with sensor 1's bandwidth at `bandwidth`.  At 1e61 its closed-form
+    interval end, 7.3e60, lies past the interval search's last doubling,
+    2^200 (about 1.6e60), so the search finds no infeasible rate."""
+    doc = json.loads(SEC4_CONFIG_PATH.read_text())
+    doc["sensors"]["bandwidth"] = [bandwidth] + [2.0] * 9
+    return write_doc(tmp_path, doc)
+
+
+def test_the_cli_errors_are_the_library_families():
+    assert issubclass(ConfigError, ValueError)
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["verify"], ["br-curve", "--sensor", "2"]])
+def test_a_degenerate_config_exits_3_with_one_line(tmp_path, capsys, argv):
+    # a RuntimeError traceback and exit 1 before
+    path = _sec4_with_bandwidth(tmp_path, 1e61)
+    assert main([argv[0], "--config", path, *argv[1:]]) == EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", "config error: sensor 0: no infeasible upper rate found; config degenerate\n")
+
+
+def test_a_bandwidth_below_the_search_cap_still_solves(tmp_path, capsys):
+    assert main(["solve", "--config", _sec4_with_bandwidth(tmp_path, 1e60)]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("method=gauss_seidel_br\n")
+
+
+def test_a_degenerate_sweep_value_keeps_the_good_rows(tmp_path):
+    # the sweep lost its good row to a RuntimeError traceback before
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", str(SEC4_CONFIG_PATH), "--out", str(out),
+            "--sweep-param", "sensors.bandwidth", "--sweep-values", "2,1e61"]
+    assert main(argv) == EXIT_NONCONVERGENCE
+    good, bad = read_csv(out)
+    assert (good["value"], good["status"]) == ("2", "ok")
+    pinned = read_csv(REPO_ROOT / "bench" / "expected" / "solve.csv")   # sec4 itself
+    assert [good[f"r_{i + 1}"] for i in range(10)] == [row["rate"] for row in pinned]
+    assert bad == {
+        "value": "1e+61", "iterations": "0",
+        "status": "error: sensor 0: no infeasible upper rate found; config degenerate",
+        **{f"{x}_{i + 1}": "" for x in "ru" for i in range(10)},
+    }
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: [1.0], "{path}: top level must be an object"),
+    (lambda doc: {**doc, "sensors": [1.0]}, "'sensors' must be an object of per-sensor fields"),
+    (lambda doc: {**doc, "blockchain": 1.0}, "'blockchain' must be an object"),
+    (lambda doc: {**doc, "sensors": {**doc["sensors"], "bandwidth": []}},
+     "sensor arrays must not be empty"),
+])
+def test_malformed_documents_exit_3_with_the_message(tmp_path, capsys, edit, message):
+    path = write_doc(tmp_path, edit(json.loads(json.dumps(SINGLE_DOC))))
+    assert main(["solve", "--config", path]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {message.format(path=path)}\n")
+
+
+def test_an_unknown_command_is_a_config_error():
+    with pytest.raises(ConfigError) as e:
+        ExperimentSpec(config_path=str(SEC4_CONFIG_PATH), command="nope")
+    assert str(e.value) == "unknown command 'nope'"
+
+
+@pytest.mark.parametrize("sensor", ["0", "11"])
+def test_br_curve_rejects_a_sensor_out_of_range(capsys, sensor):
+    argv = ["br-curve", "--config", str(SEC4_CONFIG_PATH), "--sensor", sensor]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: curve sensor {sensor} out of range 1..10\n")
+
+
+def test_a_bad_sweep_value_exits_3(capsys):
+    argv = ["sweep", "--config", str(SEC4_CONFIG_PATH), "--sweep-param", "power_price",
+            "--sweep-values", "0.01,abc"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", "config error: bad sweep value: could not convert string to float: 'abc'\n")
+
+
+def test_verify_of_an_unconverged_solve_exits_5(capsys):
+    assert main(["verify", "--config", str(SEC4_CONFIG_PATH), "--max-iter", "1"]) == EXIT_NONCONVERGENCE
+    out = capsys.readouterr().out
+    assert out.startswith("converged: False after 1 iterations")
+    assert out.endswith("verified: False\n")
+
+
+# The README's five commands, and the masks bench/run.py applies to solver
+# effort (iterations, residual) and to round-off-level diagnostics before
+# comparing with bench/expected/: files for the commands with --out, stdout
+# for check and verify.
 _PINNED_COMMANDS = {
     "solve": (["solve"], [(r"iterations=\d+ residual=\S+", "iterations=* residual=*")]),
     "sweep": (
@@ -526,20 +621,40 @@ _PINNED_COMMANDS = {
         [(r"(?m)^([^,\n]*,[^,\n]*,)\d+,", r"\1*,")],
     ),
     "br-curve": (["br-curve", "--sensor", "2"], []),
+    "check": (["check"], [(r"worst second derivative: \S+", "worst second derivative: *")]),
+    "verify": (["verify"], [(r"after \d+ iterations \(residual [^)\n]*\)", "after * (residual *)"),
+                            (r"(refined search\)|points\)): \S+", r"\1: *")]),
+}
+_STDOUT_COMMANDS = ("check", "verify")
+
+# The masked diagnostics, range-checked as bench/run.py does: (pattern, how
+# many, the range).  Both gains are within its epsilon 1e-6, and the worst
+# second derivative is negative.
+_MASKED_VALUES = {
+    "verify": (r"(?:refined search\)|points\)): (\S+)", 2, lambda v: v <= 1e-6),
+    "check": (r"worst second derivative: (\S+)", 1, lambda v: v < 0.0),
 }
 
 
 @pytest.mark.parametrize("command", sorted(_PINNED_COMMANDS))
-def test_cli_answers_match_the_benchmark_expected_files(command, tmp_path):
+def test_cli_answers_match_the_benchmark_expected_files(command, tmp_path, capsys):
     argv, masks = _PINNED_COMMANDS[command]
+    to_stdout = command in _STDOUT_COMMANDS
     out = tmp_path / f"{command}.csv"
-    code = main([argv[0], "--config", str(SEC4_CONFIG_PATH), *argv[1:], "--out", str(out)])
+    args = [argv[0], "--config", str(SEC4_CONFIG_PATH), *argv[1:]]
+    code = main(args if to_stdout else args + ["--out", str(out)])
     assert code == EXIT_OK
-    got = out.read_text()
-    want = (REPO_ROOT / "bench" / "expected" / f"{command}.csv").read_text()
+    text = capsys.readouterr().out if to_stdout else out.read_text()
+    name = f"{command}.txt" if to_stdout else f"{command}.csv"
+    want = (REPO_ROOT / "bench" / "expected" / name).read_text()
+    got = text
     for pattern, repl in masks:
         got, want = re.sub(pattern, repl, got), re.sub(pattern, repl, want)
     assert got == want
+    if command in _MASKED_VALUES:
+        pattern, count, in_range = _MASKED_VALUES[command]
+        values = [float(v) for v in re.findall(pattern, text)]
+        assert len(values) == count and all(in_range(v) for v in values)
 
 
 def test_verify_command(tmp_path, capsys):

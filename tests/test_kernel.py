@@ -680,8 +680,19 @@ def test_best_response_raises_where_the_literal_search_reads_an_infeasible_gradi
 ):
     # a wider margin for the gradient only: near the load limit the polish
     # reads gradients the utility kernel still accepts
+    default = model.DEFAULT_FEASIBILITY_MARGIN
     monkeypatch.setattr(model, "DEFAULT_FEASIBILITY_MARGIN", margin)
     monkeypatch.setattr(ref, "GRADIENT_MARGIN", margin)
+
+    def at_the_default_margin(*args):       # _invert, the utility's kernel, reads it too
+        model.DEFAULT_FEASIBILITY_MARGIN = default
+        try:
+            return _invert(*args)
+        finally:
+            model.DEFAULT_FEASIBILITY_MARGIN = margin
+
+    for module in (model, equilibrium):
+        monkeypatch.setattr(module, "_invert", at_the_default_margin)
     cases = _boundary_bound_cases(sec4_cfg)[::40]
     want = [_outcome(ref.best_response, i, r, cfg, m) for cfg, r, i, m in cases]
     got = [_outcome(_best_response_full, i, r, cfg, m) for cfg, r, i, m in cases]

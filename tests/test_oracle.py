@@ -4,7 +4,7 @@ import pytest
 from conftest import make_config, make_sensor
 from crowdgame import equilibrium, oracle
 from crowdgame.equilibrium import EmptyFeasibleInterval, SolverOptions
-from crowdgame.model import forward_rates, utility_rate_space
+from crowdgame.model import forward_rates, utility_gradient_analytic, utility_rate_space
 
 
 def test_scalar_rate_matches_forward_rates(sec4_cfg):
@@ -35,6 +35,37 @@ def test_scalar_rate_unit_transmit_power(sec4_cfg):
 def test_scalar_rate_worked_example():
     cfg = make_config([make_sensor(), make_sensor(circuit_power=1.5)])
     assert oracle.scalar_rate(0, [2.0, 1.5], cfg) == pytest.approx(2.0, rel=1e-14)
+
+
+def test_scalar_rate_rejects_a_sensor_out_of_range(sec4_cfg):
+    for i in (-1, 10):
+        with pytest.raises(IndexError) as e:
+            oracle.scalar_rate(i, sec4_cfg.circuit_powers, sec4_cfg)
+        assert str(e.value) == f"sensor id {i} out of range"
+
+
+def test_utility_gradient_needs_an_interior_rate(sec4_cfg):
+    r = np.full(10, 0.2)
+    r[0] = 0.0
+    with pytest.raises(ValueError) as e:
+        oracle.utility_gradient(0, r, sec4_cfg)
+    assert str(e.value) == "utility_gradient needs a strictly interior r_i > 0"
+
+
+def test_utility_gradient_halves_the_step_below_a_small_rate(sec4_cfg, monkeypatch):
+    # r_i = 1e-8 is below the step 1e-6, so the step is r_i / 2
+    r = np.full(10, 0.2)
+    r[0] = 1e-8
+    seen = []
+
+    def spy(i, rates, cfg):
+        seen.append(float(rates[i]))
+        return utility_rate_space(i, rates, cfg)
+
+    monkeypatch.setattr(oracle, "utility_rate_space", spy)
+    got = oracle.utility_gradient(0, r, sec4_cfg)
+    assert seen == [1e-8 + 0.5e-8, 1e-8 - 0.5e-8]
+    assert got == pytest.approx(utility_gradient_analytic(0, r, sec4_cfg), rel=1e-9)
 
 
 def test_grid_best_response_zero_price():
