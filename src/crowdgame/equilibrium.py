@@ -25,13 +25,13 @@ at the largest rate judged feasible and the smallest judged infeasible.  The
 kernel is monotone in each rate, so if both verdicts hold, every replayed
 decision is the literal search's; otherwise the search reruns on real probes.
 
-The simultaneous steps and `verify_epsilon_ne` take no search.  A Jacobi
-step and a gradient step take every sensor's interval end in closed form,
-1e-12 inside the boundary and checked in one feasibility pass
-(`_interval_ends`).  `_best_responses` answers in two stacked utility
-passes, the grid and the stationary point in each best cell, within 1e-12 of
-the exact maximizers; verify runs it one sensor at a time on the oracle's grid.
-Gauss-Seidel keeps the replayed searches: its answers are the CLI's bytes.
+A Jacobi step and a gradient step take every sensor's interval end in closed
+form (`_interval_ends`), 1e-12 inside the boundary, checked in one feasibility
+pass; an end that fails the check or lies past the search's last doubling
+falls back to the replayed search, so every method raises on a degenerate
+config.  `_best_responses` answers from the grid and the stationary point in
+each best cell, within 1e-12 of the exact maximizers; verify runs it per
+sensor on the oracle's grid.  Gauss-Seidel keeps the replayed searches.
 
 The best response's golden section and derivative-sign bisection are
 replayed by speculation: the literal loop on kernel values read from a table
@@ -57,7 +57,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-# bench/tracing.py rebinds utility_rate_space; tests spy on _utility_along
+# bench/tracing.py rebinds utility_rate_space
 from .model import (  # noqa: F401
     DEFAULT_FEASIBILITY_MARGIN,
     LN2,
@@ -77,7 +77,6 @@ from .model import (  # noqa: F401
     _own_gradients,
     _own_rows,
     _own_utilities,
-    _utility_along,
     _with_entry,
     gradient_all,
     invert_rates,
@@ -92,6 +91,7 @@ _COARSE_GRID = 64           # bracketing grid points in best_response
 _FOC_TOL = 1e-11            # target residual of the Newton refinement
 _HALVINGS = 0.5 ** np.arange(47)    # Newton line-search steps: 2^-k above 1e-14
 _REFINE_RETRY = 50          # dynamics iterations between refinement attempts
+_DOUBLINGS = 200            # interval search doublings before it calls a config degenerate
 _GOLDEN_TAIL = 4            # last golden-section steps speculated on both sections
 
 Method = Literal["gauss_seidel_br", "jacobi_br", "gradient_ascent"]
@@ -108,7 +108,17 @@ class EmptyFeasibleInterval(InfeasibilityError):
         self.sensor = sensor
 
 
+class DegenerateConfig(ValueError):
+    """A sensor's own rate stays feasible past the interval search's last doubling."""
+
+    def __init__(self, sensor: int):
+        super().__init__(f"sensor {sensor}: no infeasible upper rate found; config degenerate")
+        self.sensor = sensor
+
+
 def _check_nonnegative(value: float, name: str):
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name}: {_NOT_BOOL}")
     if not 0.0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and >= 0")
 
@@ -140,7 +150,7 @@ class SolverOptions:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}")
-        for name in ("step_size", "tol", "max_iter", "min_rate", "refine_after"):
+        for name in ("step_size", "tol", "max_iter", "refine_after"):
             if isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ValueError(f"{name}: {_NOT_BOOL}")
         if not 0 < self.tol < math.inf:
@@ -183,19 +193,13 @@ def _profile_feasible(r: np.ndarray, cfg: GameConfig) -> bool:
     return _invert(r, cfg)[4]
 
 
-def _own_feasible(i, r: np.ndarray, x: np.ndarray, cfg: GameConfig) -> np.ndarray:
-    """_profile_feasible of r with entry i set to each x[q], i as for
-    model._own_utilities, in stacks of at most _STACK_SIZE rates."""
-    return np.concatenate([_invert(Q, cfg)[4] for _, Q, _ in _own_rows(r, i, x)])
-
-
 def _interval_search(feasible: Callable[[float], bool], min_rate: float):
     """rate_upper_bound's search, deciding by `feasible`: the largest rate judged
     feasible or None, and the smallest judged infeasible or inf (none found)."""
     if not feasible(min_rate):
         return None, min_rate
     lo, hi = min_rate, max(1.0, 2.0 * min_rate)
-    for _ in range(200):
+    for _ in range(_DOUBLINGS):
         if not feasible(hi):
             break
         lo, hi = hi, 2.0 * hi
@@ -237,52 +241,48 @@ def rate_upper_bound(
 
     Raises:
         EmptyFeasibleInterval: even min_rate is infeasible against `rates`.
-        ValueError: a degenerate config, feasible at every rate below 2^200.
+        DegenerateConfig: a degenerate config, feasible at every doubling to ~2^200.
     """
     _check_nonnegative(min_rate, "min_rate")
     _check_sensor_id(i, cfg)
-    r = np.array(rates, dtype=float)
-    r[i] = min_rate
-    _as_rates(r, cfg)
-    return _bound_search(i, r, cfg, min_rate)
+    r = _with_entry(np.asarray(rates, dtype=float), i, min_rate)
+    return _bound_search(i, _as_rates(r, cfg), cfg, min_rate)
 
 
 def _interval_ends(r: np.ndarray, cfg: GameConfig, min_rate: float) -> np.ndarray:
     """rate_upper_bound of every sensor at r, checked in closed form: e =
     x_hat - 1e-12 max(1, x_hat), x_hat = _rate_limit_estimate at r, clamped at
     min_rate where one feasibility pass finds min_rate and e feasible and
-    e + 2e-12 max(1, e) not; rate_upper_bound elsewhere, in sensor order, so
-    the first failing sensor raises.  The slack keeps a simultaneous step off
-    the coupled boundary, which exact ends would cross by round-off."""
+    e + 2e-12 max(1, e) not; _bound_search elsewhere, in sensor order, so the
+    first failing sensor raises.  The slack keeps a simultaneous step off the
+    coupled boundary, which exact ends would cross by round-off."""
     n = cfg.n_sensors
     x_hat = _rate_limit_estimate(np.arange(n), r, cfg)
-    finite = np.isfinite(x_hat)
-    e = np.where(finite, x_hat, min_rate)
+    inside = x_hat < 2.0 ** (_DOUBLINGS - 1)       # the search's reach; False for NaN
+    e = np.where(inside, x_hat, min_rate)
     e = e - 1e-12 * np.maximum(1.0, e)
     x = np.column_stack([np.full(n, min_rate), e, e + 2e-12 * np.maximum(1.0, e)])
-    ok = _own_feasible(np.repeat(np.arange(n), 3), r, x.ravel(), cfg).reshape(n, 3)
+    rows = _own_rows(r, np.repeat(np.arange(n), 3), x.ravel())
+    ok = np.concatenate([_invert(Q, cfg)[4] for _, Q, _ in rows]).reshape(n, 3)
     ends = np.maximum(e, min_rate)
-    for i in np.flatnonzero(~(finite & ok[:, 0] & ok[:, 1] & ~ok[:, 2])).tolist():
-        ends[i] = rate_upper_bound(i, r, cfg, min_rate)
+    for i in np.flatnonzero(~(inside & ok[:, 0] & ok[:, 1] & ~ok[:, 2])).tolist():
+        ends[i] = _bound_search(i, r, cfg, min_rate)
     return ends
 
 
 def _bound_search(i: int, r: np.ndarray, cfg: GameConfig, min_rate: float):
-    """rate_upper_bound on a valid profile r: the replay against x_hat, whose
-    two verdicts cost one _own_feasible call, and the literal search on
-    scalar probes where a verdict fails."""
+    """rate_upper_bound on a valid profile r: the replay against x_hat, its
+    two verdicts checked by scalar probes, and the literal search where one fails."""
     r = _with_entry(r, i, min_rate)
     x_hat = float(_rate_limit_estimate(i, r, cfg))
+    feasible = lambda x: _profile_feasible(_with_entry(r, i, x), cfg)
     lo, hi = _interval_search(lambda x: x < x_hat, min_rate)
-    ends = [hi] if lo is None else [lo, hi]
-    verdicts = [] if hi == math.inf else _own_feasible(i, r, np.array(ends), cfg).tolist()
-    if verdicts != [True] * (len(ends) - 1) + [False]:     # the replay does not hold
-        lo, hi = _interval_search(lambda x: _profile_feasible(_with_entry(r, i, x), cfg),
-                                  min_rate)
+    if not (hi < math.inf and not feasible(hi) and (lo is None or feasible(lo))):
+        lo, hi = _interval_search(feasible, min_rate)      # the replay does not hold
     if lo is None:
         raise EmptyFeasibleInterval(i, min_rate)
     if hi == math.inf:
-        raise ValueError(f"sensor {i}: no infeasible upper rate found; config degenerate")
+        raise DegenerateConfig(i)
     return lo
 
 
@@ -318,11 +318,14 @@ def _stationary_estimate(
         g = lin - power - am2 * (tot + x) - share
         return g, power * (LN2 / bw - 2.0 * tp / eps) - 2.0 * am2 + bend
 
+    def split(lo, hi):      # geometric across decades, where 60 midpoints cannot reach a low root
+        return math.sqrt(lo) * math.sqrt(hi) if hi > 1e3 * lo > 0.0 else 0.5 * (lo + hi)
+
     if not grad(lo)[0] > 0.0:
         return lo
     if not grad(hi)[0] < 0.0:
         return hi
-    x = 0.5 * (lo + hi)
+    x = split(lo, hi)
     for _ in range(60):
         g, dg = grad(x)
         if g > 0.0:
@@ -333,7 +336,7 @@ def _stationary_estimate(
         if abs(step - x) <= 1e-15 * x:     # also where round-off puts it on an end
             break
         if not lo < step < hi:
-            step = 0.5 * (lo + hi)
+            step = split(lo, hi)
         x = step
     return x
 
@@ -759,7 +762,7 @@ def solve(cfg: GameConfig, opts: SolverOptions | None = None) -> EquilibriumResu
 
     Non-convergence within max_iter is reported through the result's
     `converged` flag, never raised.  An infeasible initial profile raises
-    InfeasibilityError; a degenerate config (see rate_upper_bound) ValueError.
+    InfeasibilityError; a degenerate config raises DegenerateConfig, in any method.
     """
     opts = opts or SolverOptions()
     n = cfg.n_sensors

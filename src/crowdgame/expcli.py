@@ -297,7 +297,6 @@ def run_sweep(spec: ExperimentSpec) -> int:
     base_doc = _read_doc(spec.config_path)
     n = _build_config(base_doc).n_sensors   # fail fast on a broken base config
     rows = []
-    all_ok = True
     for value in spec.sweep_values:
         doc = json.loads(json.dumps(base_doc))
         status = "ok"
@@ -311,24 +310,18 @@ def run_sweep(spec: ExperimentSpec) -> int:
             iterations = res.iterations
             if not res.converged:
                 status = "non-convergence"
-                all_ok = False
             rates, utils = res.rates, res.utilities
         except (ValueError, InfeasibilityError) as e:
-            status = f"error: {e}"
-            all_ok = False
-        if rates is None:
-            rows.append([value, status, iterations] + [""] * (2 * n))
-        else:
-            rows.append(
-                [value, status, iterations] + list(rates) + list(utils)
-            )
+            status = f"error: {_message(e)}"
+        cells = [""] * (2 * n) if rates is None else list(rates) + list(utils)
+        rows.append([value, status, iterations] + cells)
     header = (
         ["value", "status", "iterations"]
         + [f"r_{i + 1}" for i in range(n)]
         + [f"u_{i + 1}" for i in range(n)]
     )
     _emit(spec, header, rows)
-    return EXIT_OK if all_ok else EXIT_NONCONVERGENCE
+    return EXIT_OK if all(row[1] == "ok" for row in rows) else EXIT_NONCONVERGENCE
 
 
 def run_br_curve(spec: ExperimentSpec) -> int:
@@ -479,16 +472,22 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     return ExperimentSpec(solver=solver, **kwargs)
 
 
+def _message(e: Exception) -> str:
+    """str(e) with the sensor it names, e.sensor, 1-based; the library counts from 0."""
+    i = getattr(e, "sensor", None)
+    return str(e) if i is None else str(e).replace(f"sensor {i}:", f"sensor {i + 1}:", 1)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         spec = _spec_from_args(args)
         return _RUNNERS[spec.command](spec)
     except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
+        print(f"config error: {_message(e)}", file=sys.stderr)
         return EXIT_CONFIG
     except InfeasibilityError as e:
-        print(f"infeasible: {e}", file=sys.stderr)
+        print(f"infeasible: {_message(e)}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
 

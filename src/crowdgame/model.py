@@ -155,9 +155,9 @@ class BlockchainParams:
 class GameConfig:
     """One game instance: the sensor list plus the shared environment.
 
-    The per-sensor constants are mirrored into numpy arrays at construction
-    so that the hot evaluation paths avoid per-call list traversal.  Treat
-    instances as immutable; they are safe to share across threads.
+    The per-sensor constants the kernels read are mirrored into numpy arrays
+    at construction, d^alpha/g as one array for both directions of the rate
+    map.  Treat instances as immutable; they are safe to share across threads.
     """
 
     sensors: list[SensorParams]
@@ -168,12 +168,8 @@ class GameConfig:
 
     # cached per-sensor arrays (derived, excluded from comparisons)
     bandwidths: np.ndarray = field(init=False, repr=False, compare=False)
-    gains: np.ndarray = field(init=False, repr=False, compare=False)
-    ap_distances: np.ndarray = field(init=False, repr=False, compare=False)
-    path_loss_exps: np.ndarray = field(init=False, repr=False, compare=False)
     circuit_powers: np.ndarray = field(init=False, repr=False, compare=False)
     rate_prices: np.ndarray = field(init=False, repr=False, compare=False)
-    beacon_distances: np.ndarray = field(init=False, repr=False, compare=False)
     power_caps: np.ndarray = field(init=False, repr=False, compare=False)
     inv_gain_pathloss: np.ndarray = field(init=False, repr=False, compare=False)
     wpt_factors: np.ndarray = field(init=False, repr=False, compare=False)
@@ -193,18 +189,15 @@ class GameConfig:
             _require(0 <= getattr(self, name) < math.inf, name, "must be finite and >= 0")
         grab = lambda name: np.array([getattr(s, name) for s in self.sensors], dtype=float)
         self.bandwidths = grab("bandwidth")
-        self.gains = grab("channel_gain")
-        self.ap_distances = grab("ap_distance")
-        self.path_loss_exps = grab("path_loss_exp")
         self.circuit_powers = grab("circuit_power")
         self.rate_prices = grab("unit_rate_price")
-        self.beacon_distances = grab("beacon_distance")
         self.power_caps = grab("max_received_power")
         with np.errstate(over="ignore", invalid="ignore"):     # checked below
             # d_i^alpha_i / g_i converts beta_i back to transmit power
-            self.inv_gain_pathloss = self.ap_distances**self.path_loss_exps / self.gains
+            self.inv_gain_pathloss = (grab("ap_distance")**grab("path_loss_exp")
+                                      / grab("channel_gain"))
             # phi * (d^t_i)^eta converts received power to charging cost
-            self.wpt_factors = self.power_price * self.beacon_distances**self.wpt_path_loss_exp
+            self.wpt_factors = self.power_price * grab("beacon_distance")**self.wpt_path_loss_exp
             # dt_i/dr_i = ln2/b_i * 2^(-r_i/b_i), and the charging cost per unit beta_i
             self.ln2_per_bandwidth = LN2 / self.bandwidths
             self.beta_cost_factors = self.wpt_factors * self.inv_gain_pathloss
@@ -279,10 +272,8 @@ def forward_rates(powers: PowerVector, cfg: GameConfig) -> RateVector:
     Non-finite powers, and powers that overflow the map, raise ValueError.
     """
     p = _as_profile(powers, cfg, "powers")
-    with np.errstate(over="ignore", invalid="ignore"):
-        beta = cfg.gains * np.maximum(p - cfg.circuit_powers, 0.0) / (
-            cfg.ap_distances**cfg.path_loss_exps
-        )
+    with np.errstate(all="ignore"):     # a zero d^alpha/g divides by zero
+        beta = np.maximum(p - cfg.circuit_powers, 0.0) / cfg.inv_gain_pathloss
         interference = beta.sum() - beta + cfg.noise_variance
         r = cfg.bandwidths * np.log1p(beta / interference) / LN2
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(r))):

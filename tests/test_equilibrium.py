@@ -1,5 +1,6 @@
 import functools
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -547,6 +548,65 @@ def test_a_degenerate_config_raises_value_error(sec4_cfg):
     assert rate_upper_bound(1, r, cfg) < 2.0
     below = _sec4_with_bandwidth(sec4_cfg, 1e60)      # its end is 7.3e59 < 2^200
     assert rate_upper_bound(0, r, below) == pytest.approx(7.3006e59, rel=1e-4)
+
+
+@pytest.mark.parametrize("method", equilibrium._METHODS)
+def test_a_degenerate_config_raises_the_same_error_under_every_method(sec4_cfg, method):
+    # Jacobi ran 10 000 iterations (6.4 s) to an unconverged answer, and
+    # gradient ascent converged, where Gauss-Seidel raised at once
+    cfg = _sec4_with_bandwidth(sec4_cfg, 1e61)
+    start = time.perf_counter()
+    with pytest.raises(equilibrium.DegenerateConfig) as e:
+        solve(cfg, SolverOptions(method=method))
+    assert time.perf_counter() - start < 1.0
+    assert isinstance(e.value, ValueError) and e.value.sensor == 0     # 0-based, as str(e)
+    assert str(e.value) == "sensor 0: no infeasible upper rate found; config degenerate"
+    # at 1e60 the end, 7.3e59, lies inside the search's reach
+    below = _sec4_with_bandwidth(sec4_cfg, 1e60)
+    assert solve(below, SolverOptions(method=method, max_iter=50)).converged
+
+
+def test_the_stationary_estimate_finds_a_root_deep_in_a_wide_cell(sec4_cfg):
+    # at bandwidth 1e50 the 64-point grid's first cell is [0.1, 8.0e44]; 60
+    # midpoint bisections ended at 3.5e26, and the best response at min_rate
+    cfg = _sec4_with_bandwidth(sec4_cfg, 1e50)
+    gs = solve(cfg)
+    assert gs.converged and gs.rates[0] == pytest.approx(9.4147, rel=1e-4)
+    end = equilibrium._interval_ends(gs.rates, cfg, 0.1)[0]
+    cell = np.linspace(0.1, end, equilibrium._COARSE_GRID)[:2]
+    x = equilibrium._stationary_estimate(0, gs.rates, cfg, *cell)
+    assert x == pytest.approx(gs.rates[0], rel=1e-12)
+    best, u = equilibrium._best_responses(np.array([0]), gs.rates, cfg, 0.1, np.array([end]),
+                                          equilibrium._COARSE_GRID)
+    assert best[0] == pytest.approx(gs.rates[0], rel=1e-12) and u[0] > 79.0
+
+
+def test_jacobi_converges_where_an_interval_spans_decades(sec4_cfg):
+    # Jacobi stopped unconverged after 2000 of 2000 iterations here
+    cfg = _sec4_with_bandwidth(sec4_cfg, 1e50)
+    gs = solve(cfg)
+    for method in ("jacobi_br", "gradient_ascent"):
+        res = solve(cfg, SolverOptions(method=method, max_iter=50))
+        assert res.converged, method
+        assert np.max(np.abs(res.rates - gs.rates)) < 1e-8, method
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+def test_public_checks_reject_a_bool_epsilon_or_min_rate(sec4_cfg, flag):
+    # verify_epsilon_ne(r, cfg, True, 50) passed, and min_rate=True ran as 1.0
+    r = np.full(10, 0.2)
+    calls = {
+        "epsilon": [lambda: verify_epsilon_ne(r, sec4_cfg, flag, 50)],
+        "min_rate": [lambda: verify_epsilon_ne(r, sec4_cfg, 1e-6, 50, flag),
+                     lambda: rate_upper_bound(0, r, sec4_cfg, flag),
+                     lambda: oracle.grid_certify_ne(r, sec4_cfg, 50, flag),
+                     lambda: oracle.grid_best_response(0, r[1:], sec4_cfg, 50, flag)],
+    }
+    for name, tries in calls.items():
+        for call in tries:
+            with pytest.raises(ValueError) as e:
+                call()
+            assert str(e.value) == f"{name}: must be a number, not a bool"
 
 
 @pytest.mark.parametrize("method", ["gauss_seidel_br", "jacobi_br", "gradient_ascent"])

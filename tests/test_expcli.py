@@ -77,7 +77,7 @@ def test_load_bundled_config():
         cfg.circuit_powers, [1, 2, 3, 1, 2, 3, 1, 2, 3, 1]
     )
     np.testing.assert_allclose(
-        cfg.beacon_distances,
+        [s.beacon_distance for s in cfg.sensors],
         1.0 + np.array([1, 2, 3, 1, 2, 3, 1, 2, 3, 1]) * 1e-3,
     )
 
@@ -421,7 +421,17 @@ def test_an_empty_feasible_interval_exits_4(monkeypatch, capsys):
 
     monkeypatch.setattr(expcli.equilibrium, "solve", empty)
     assert main(["solve", "--config", str(SEC4_CONFIG_PATH)]) == EXIT_INFEASIBLE
-    assert capsys.readouterr() == ("", "infeasible: sensor 3: no feasible rate >= min_rate 0.5\n")
+    # the config's sensor 4 is the library's sensor 3
+    assert capsys.readouterr() == ("", "infeasible: sensor 4: no feasible rate >= min_rate 0.5\n")
+
+
+def test_a_power_cap_exceeded_names_the_sensor_1_based(tmp_path, capsys):
+    # the library's PowerBoundExceeded counts from 0; the CLI from 1
+    path = write_doc(tmp_path, SINGLE_DOC)      # one sensor: rate 7 needs power 11.3
+    assert main(["check", "--config", path, "--region-low", "7", "--region-high", "8"]) \
+        == EXIT_INFEASIBLE
+    assert re.fullmatch(r"infeasible: sensor 1: required power \S+ exceeds cap 10\.0\n",
+                        capsys.readouterr().err)
 
 
 def test_verify_exits_7_when_a_gain_exceeds_epsilon(tmp_path, monkeypatch, capsys):
@@ -537,13 +547,16 @@ def test_the_cli_errors_are_the_library_families():
     assert issubclass(ConfigError, ValueError)
 
 
-@pytest.mark.parametrize("argv", [["solve"], ["verify"], ["br-curve", "--sensor", "2"]])
+@pytest.mark.parametrize("argv", [["solve"], ["verify"], ["br-curve", "--sensor", "2"],
+                                  ["solve", "--method", "jacobi_br"],
+                                  ["solve", "--method", "gradient_ascent"]])
 def test_a_degenerate_config_exits_3_with_one_line(tmp_path, capsys, argv):
-    # a RuntimeError traceback and exit 1 before
+    # a RuntimeError traceback and exit 1 before; Jacobi exited 5 after 6.4 s
+    # and gradient ascent 0; the message named the config's sensor 1 as 0
     path = _sec4_with_bandwidth(tmp_path, 1e61)
     assert main([argv[0], "--config", path, *argv[1:]]) == EXIT_CONFIG
     assert capsys.readouterr() == (
-        "", "config error: sensor 0: no infeasible upper rate found; config degenerate\n")
+        "", "config error: sensor 1: no infeasible upper rate found; config degenerate\n")
 
 
 def test_a_bandwidth_below_the_search_cap_still_solves(tmp_path, capsys):
@@ -563,7 +576,7 @@ def test_a_degenerate_sweep_value_keeps_the_good_rows(tmp_path):
     assert [good[f"r_{i + 1}"] for i in range(10)] == [row["rate"] for row in pinned]
     assert bad == {
         "value": "1e+61", "iterations": "0",
-        "status": "error: sensor 0: no infeasible upper rate found; config degenerate",
+        "status": "error: sensor 1: no infeasible upper rate found; config degenerate",
         **{f"{x}_{i + 1}": "" for x in "ru" for i in range(10)},
     }
 

@@ -553,8 +553,7 @@ def test_best_response_evaluates_only_finite_utilities(sec4_cfg, monkeypatch):
             return outputs[-1]
         return spied
 
-    for name in ("_utility_along", "_own_utilities"):
-        monkeypatch.setattr(equilibrium, name, spying(getattr(equilibrium, name)))
+    monkeypatch.setattr(equilibrium, "_own_utilities", spying(equilibrium._own_utilities))
     for cfg, r, i, m in _hard_search_cases(sec4_cfg):
         _outcome(_best_response_full, i, r, cfg, m)
     values = np.concatenate(outputs)
@@ -721,7 +720,7 @@ def test_best_response_makes_few_stacked_kernel_calls(sec4_cfg, monkeypatch):
             return formula(*args)
         return checked
 
-    for name in ("_utility_along", "_own_utilities", "_own_gradients"):
+    for name in ("_own_utilities", "_own_gradients"):
         monkeypatch.setattr(equilibrium, name, counting(getattr(equilibrium, name)))
     # every utility, gradient and fee evaluation runs one of these formulas
     for name in ("_fee", "_own_utility", "_own_gradient"):
@@ -933,12 +932,17 @@ def test_verify_equals_the_reference_loop_where_sensors_fail(sec4_cfg):
     assert verify_epsilon_ne(r, cfg, 1e-6, 64, 0.0)[1] >= oracle.grid_certify_ne(r, cfg, 64, 0.0)
 
 
+def _own_feasible(i, r, x, cfg):
+    """_interval_ends' feasibility pass: _invert over _own_rows' stacks."""
+    return np.concatenate([model._invert(Q, cfg)[4] for _, Q, _ in model._own_rows(r, i, x)])
+
+
 def test_per_row_kernels_equal_the_one_sensor_kernels(sec4_cfg, monkeypatch):
     rng = np.random.default_rng(23)
     big = _tiled(sec4_cfg, 160)
     cases = [(sec4_cfg, r) for r in _boundary_profiles(sec4_cfg, rng, 20)]
     cases += [(big, rng.uniform(0.0, 0.006, 160))]
-    kernels = (model._own_utilities, model._own_gradients, equilibrium._own_feasible)
+    kernels = (model._own_utilities, model._own_gradients, _own_feasible)
     verdicts = []
     for size in (model._STACK_SIZE, 70):        # 70: a few rows per chunk
         monkeypatch.setattr(model, "_STACK_SIZE", size)
@@ -950,7 +954,7 @@ def test_per_row_kernels_equal_the_one_sensor_kernels(sec4_cfg, monkeypatch):
                 got = kernel(sensors, r, x, cfg)
                 want = [kernel(int(i), r, x[q:q + 1], cfg)[0] for q, i in enumerate(sensors)]
                 assert np.array_equal(got, want, equal_nan=got.dtype.kind == "f")
-            ok = equilibrium._own_feasible(sensors, r, x, cfg)
+            ok = _own_feasible(sensors, r, x, cfg)
             assert ok.tolist() == [_profile_feasible(_with_entry(r, i, xq), cfg)
                                    for i, xq in zip(sensors, x)]
             verdicts += ok.tolist()
@@ -961,8 +965,7 @@ def test_a_jacobi_step_makes_one_feasibility_and_few_stacked_passes(sec4_cfg, mo
     profiles = []
     for method in equilibrium._METHODS:
         profiles += list(solve(sec4_cfg, SolverOptions(method=method, max_iter=40)).trace)
-    names = ("_utility_along", "_own_utilities", "_own_gradients", "_own_feasible",
-             "rate_upper_bound")
+    names = ("_own_utilities", "_own_gradients", "_invert", "_bound_search")
     counts = []
 
     def counting(name):
@@ -987,7 +990,7 @@ def test_a_jacobi_step_makes_one_feasibility_and_few_stacked_passes(sec4_cfg, mo
     jacobi, gradient = equilibrium._jacobi_step, equilibrium._gradient_step
     # ten best responses in lockstep made 6.84 stacked passes a step, and
     # ten sequential ones about 44 stacked calls and 20 scalar probes
-    for step, want in ((jacobi, (0, 2, 0, 1, 0)), (gradient, (0, 0, 0, 1, 0))):
+    for step, want in ((jacobi, (2, 0, 1, 0)), (gradient, (0, 0, 1, 0))):
         got, outcomes = passes(step)
         assert passes(step)[0] == got          # the counts repeat exactly
         closed = [c for c, o in zip(got, outcomes)    # answered, and no end fell back
