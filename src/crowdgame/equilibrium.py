@@ -25,13 +25,20 @@ at the largest rate judged feasible and the smallest judged infeasible.  The
 kernel is monotone in each rate, so if both verdicts hold, every replayed
 decision is the literal search's; otherwise the search reruns on real probes.
 
-A Jacobi step and a gradient step take every sensor's interval end in closed
-form (`_interval_ends`), 1e-12 inside the boundary, checked in one feasibility
-pass; an end that fails the check or lies past the search's last doubling
-falls back to the replayed search, so every method raises on a degenerate
-config.  `_best_responses` answers from the grid and the stationary point in
-each best cell, within 1e-12 of the exact maximizers; verify runs it per
-sensor on the oracle's grid.  Gauss-Seidel keeps the replayed searches.
+A Jacobi step and a gradient step evaluate their iterate once
+(`model._Aggregates`) and take every sensor's interval end in closed form
+(`_interval_ends`), 1e-12 inside the boundary, checked in one pass of
+aggregate rows; an end that fails the check or lies past the search's last
+doubling falls back to the replayed search, so every method raises on a
+degenerate config.  `_best_responses` answers from the grid and the
+stationary point in each best cell, within 1e-12 of the exact maximizers,
+reading aggregate rows in a Jacobi step.  The one-sensor calls keep
+full-profile rows: verify runs `_best_responses` per sensor on the oracle's
+grid, so its worst gain is never below the oracle's, and Gauss-Seidel keeps
+the replayed searches, whose floats `solve`, `sweep` and `br-curve` print.
+A Newton iterate is evaluated once: the line search's evaluation of the
+accepted candidate builds the next Jacobian.  The line search evaluates its
+first two feasible halvings one at a time and the rest in one stacked pass.
 
 The best response's golden section and derivative-sign bisection are
 replayed by speculation: the literal loop on kernel values read from a table
@@ -64,19 +71,24 @@ from .model import (  # noqa: F401
     EquilibriumResult,
     GameConfig,
     InfeasibilityError,
+    InfeasibleRates,
     _NOT_BOOL,
     _STACK_SIZE,
+    _Aggregates,
     _as_profile,
     _as_rates,
     _check_sensor_id,
     _curvatures,
     _fees_all,
+    _gradient,
     _invert,
     _jacobian_terms,
-    _utilities_all,
     _own_gradients,
-    _own_rows,
     _own_utilities,
+    _row_powers,
+    _row_utilities,
+    _terms,
+    _utilities_all,
     _with_entry,
     gradient_all,
     invert_rates,
@@ -93,6 +105,10 @@ _HALVINGS = 0.5 ** np.arange(47)    # Newton line-search steps: 2^-k above 1e-14
 _REFINE_RETRY = 50          # dynamics iterations between refinement attempts
 _DOUBLINGS = 200            # interval search doublings before it calls a config degenerate
 _GOLDEN_TAIL = 4            # last golden-section steps speculated on both sections
+# feasible halvings a Newton line search evaluates one at a time before it
+# stacks the rest: of 797 sec4-family line searches, 772 read at most two and
+# 17 read all 47, stalled at the residual's floating-point floor
+_SEQUENTIAL_HALVINGS = 2
 
 Method = Literal["gauss_seidel_br", "jacobi_br", "gradient_ascent"]
 _METHODS = ("gauss_seidel_br", "jacobi_br", "gradient_ascent")
@@ -214,19 +230,18 @@ def _interval_search(feasible: Callable[[float], bool], min_rate: float):
     return lo, hi
 
 
-def _rate_limit_estimate(i, r: np.ndarray, cfg: GameConfig):
-    """Closed-form x_hat of sensor i's largest feasible rate, the others at r:
-    with F = 1 - T_-i and kappa = d^alpha/g, the least of the caps on t_i (load
-    margin F - margin, each cap F - t_k kappa_k s2/(cap_k - c_k), k = i never
-    binding where r_i meets its own cap, own cap (cap_i - c_i) F/(cap_i - c_i +
-    kappa_i s2)) as a rate.  i is one sensor, or an index array of sensors."""
-    t = -np.expm1(-LN2 * (r / cfg.bandwidths))
-    s2k = cfg.noise_variance * cfg.inv_gain_pathloss
-    room = cfg.power_caps - cfg.circuit_powers
-    free = 1.0 - (t.sum() - t[i])
-    need = np.divide(t * s2k, room, out=np.zeros_like(t), where=room > 0.0)
-    own = room[i] * free / (room[i] + s2k[i])
-    t_hat = np.minimum(np.minimum(free - DEFAULT_FEASIBILITY_MARGIN, free - need.max()), own)
+def _rate_limit_estimate(i, a: _Aggregates, cfg: GameConfig):
+    """Closed-form x_hat of sensor i's largest feasible rate, the others at the
+    profile a.r: with F = 1 - T_-i and kappa = d^alpha/g, the least of the caps
+    on t_i (load margin F - margin, each cap F - t_k kappa_k s2/(cap_k - c_k),
+    k = i never binding where r_i meets its own cap, own cap (cap_i - c_i) F/
+    (cap_i - c_i + kappa_i s2)) as a rate; -inf where an infinite cap term
+    leaves no rate.  i is one sensor, or an index array of sensors."""
+    s2k, room = cfg.noise_pathloss[i], cfg.power_rooms[i]
+    free = 1.0 - (a.load - a.t[i])
+    own = room * free / (room + s2k)
+    top = a.cap_terms.max()
+    t_hat = np.minimum(np.minimum(free - DEFAULT_FEASIBILITY_MARGIN, free - top), own)
     return -cfg.bandwidths[i] * np.log2(1.0 - t_hat)
 
 
@@ -249,24 +264,22 @@ def rate_upper_bound(
     return _bound_search(i, _as_rates(r, cfg), cfg, min_rate)
 
 
-def _interval_ends(r: np.ndarray, cfg: GameConfig, min_rate: float) -> np.ndarray:
-    """rate_upper_bound of every sensor at r, checked in closed form: e =
-    x_hat - 1e-12 max(1, x_hat), x_hat = _rate_limit_estimate at r, clamped at
-    min_rate where one feasibility pass finds min_rate and e feasible and
-    e + 2e-12 max(1, e) not; _bound_search elsewhere, in sensor order, so the
-    first failing sensor raises.  The slack keeps a simultaneous step off the
-    coupled boundary, which exact ends would cross by round-off."""
-    n = cfg.n_sensors
-    x_hat = _rate_limit_estimate(np.arange(n), r, cfg)
-    inside = x_hat < 2.0 ** (_DOUBLINGS - 1)       # the search's reach; False for NaN
+def _interval_ends(a: _Aggregates, cfg: GameConfig, min_rate: float) -> np.ndarray:
+    """rate_upper_bound of every sensor at the profile a.r, checked in closed
+    form: e = x_hat - 1e-12 max(1, x_hat), x_hat = _rate_limit_estimate,
+    clamped at min_rate where one pass of aggregate rows finds min_rate and e
+    feasible and e + 2e-12 max(1, e) not; _bound_search elsewhere, in sensor
+    order, so the first failing sensor raises.  The slack keeps a simultaneous
+    step off the coupled boundary, which exact ends would cross by round-off."""
+    x_hat = _rate_limit_estimate(np.arange(cfg.n_sensors), a, cfg)
+    inside = (-np.inf < x_hat) & (x_hat < 2.0 ** (_DOUBLINGS - 1))   # the search's reach
     e = np.where(inside, x_hat, min_rate)
     e = e - 1e-12 * np.maximum(1.0, e)
-    x = np.column_stack([np.full(n, min_rate), e, e + 2e-12 * np.maximum(1.0, e)])
-    rows = _own_rows(r, np.repeat(np.arange(n), 3), x.ravel())
-    ok = np.concatenate([_invert(Q, cfg)[4] for _, Q, _ in rows]).reshape(n, 3)
+    x = np.column_stack([np.full(cfg.n_sensors, min_rate), e, e + 2e-12 * np.maximum(1.0, e)])
+    ok = _row_powers(a, (slice(None), None), x, cfg)[1]     # sensor i's row i of x
     ends = np.maximum(e, min_rate)
     for i in np.flatnonzero(~(inside & ok[:, 0] & ok[:, 1] & ~ok[:, 2])).tolist():
-        ends[i] = _bound_search(i, r, cfg, min_rate)
+        ends[i] = _bound_search(i, a.r, cfg, min_rate)
     return ends
 
 
@@ -274,7 +287,7 @@ def _bound_search(i: int, r: np.ndarray, cfg: GameConfig, min_rate: float):
     """rate_upper_bound on a valid profile r: the replay against x_hat, its
     two verdicts checked by scalar probes, and the literal search where one fails."""
     r = _with_entry(r, i, min_rate)
-    x_hat = float(_rate_limit_estimate(i, r, cfg))
+    x_hat = float(_rate_limit_estimate(i, _Aggregates(r, cfg), cfg))
     feasible = lambda x: _profile_feasible(_with_entry(r, i, x), cfg)
     lo, hi = _interval_search(lambda x: x < x_hat, min_rate)
     if not (hi < math.inf and not feasible(hi) and (lo is None or feasible(lo))):
@@ -291,22 +304,23 @@ def _bound_search(i: int, r: np.ndarray, cfg: GameConfig, min_rate: float):
 # ---------------------------------------------------------------------------
 
 def _stationary_estimate(
-    i: int, r: np.ndarray, cfg: GameConfig, lo: float, hi: float
+    i: int, a: _Aggregates, cfg: GameConfig, lo: float, hi: float
 ) -> float:
     """Closed-form x_hat of the root of sensor i's own gradient on [lo, hi],
-    the others at r: safeguarded Newton on model._own_gradient's formula written
-    in F = 1 - T_-i and R_-i; lo or hi where the gradient keeps one sign."""
+    the others at the profile a.r: safeguarded Newton on model._own_gradient's
+    formula written in F = 1 - T_-i and R_-i; lo or hi where the gradient
+    keeps one sign."""
     bw, bc = float(cfg.bandwidths[i]), cfg.blockchain
-    t = -np.expm1(-LN2 * (r / cfg.bandwidths))
-    free = 1.0 - (float(t.sum()) - float(t[i]))
-    rest = float(r.sum()) - float(r[i])
+    free = 1.0 - (a.load - float(a.t[i]))
+    rest = a.total - float(a.r[i])
     kap = float(cfg.beta_cost_factors[i]) * cfg.noise_variance
     am2, c = bc.quad_coeff * bc.compute_coeff**2, bc.const_coeff
     lin = float(cfg.rate_prices[i]) - bc.lin_coeff * bc.compute_coeff
+    lb, kf, f1, am2x2 = LN2 / bw, kap * free, free - 1.0, 2.0 * am2     # hoisted, same floats
 
     def grad(x):                    # (g, dg/dx), never raising
-        tp = LN2 / bw * 2.0 ** (-x / bw)            # dt_i/dx
-        eps = free - 1.0 + tp * bw / LN2            # 1 - T
+        tp = lb * 2.0 ** (-x / bw)              # dt_i/dx
+        eps = f1 + tp * bw / LN2                # 1 - T
         if not eps > 0.0:
             return -math.inf, math.nan
         tot = rest + x
@@ -314,11 +328,12 @@ def _stationary_estimate(
         if rest > 0.0:
             share = c * (rest / tot) / tot
             bend = 2.0 * share / tot
-        power = kap * free * tp / eps / eps
+        power = kf * tp / eps / eps
         g = lin - power - am2 * (tot + x) - share
-        return g, power * (LN2 / bw - 2.0 * tp / eps) - 2.0 * am2 + bend
+        return g, power * (lb - 2.0 * tp / eps) - am2x2 + bend
 
     def split(lo, hi):      # geometric across decades, where 60 midpoints cannot reach a low root
+        lo = lo if lo > 0.0 else hi * 2.0**-1000        # a zero low end, anchored
         return math.sqrt(lo) * math.sqrt(hi) if hi > 1e3 * lo > 0.0 else 0.5 * (lo + hi)
 
     if not grad(lo)[0] > 0.0:
@@ -341,24 +356,30 @@ def _stationary_estimate(
     return x
 
 
-def _best_responses(sensors: np.ndarray, r: np.ndarray, cfg: GameConfig,
+def _best_responses(sensors: np.ndarray, a: _Aggregates, cfg: GameConfig,
                     min_rate: float, ends: np.ndarray, points: int):
-    """(rates, utilities) of the best responses of `sensors` to r, sensors[q]
-    on [min_rate, ends[q]]: a `points`-point grid, _stationary_estimate in its
-    best cell, and the best of that root, min_rate, the end and the best grid
-    point, the last three read from the grid (np.linspace keeps its ends
-    exact); ties go to the smaller rate and a NaN never wins."""
+    """(rates, utilities) of the best responses of `sensors` to the profile
+    a.r, sensors[q] on [min_rate, ends[q]]: a `points`-point grid,
+    _stationary_estimate in its best cell, and the best of that root,
+    min_rate, the end and the best grid point, the last three read from the
+    grid (np.linspace keeps its ends exact); ties go to the smaller rate and a
+    NaN never wins.  One sensor (verify) reads full-profile rows, whose floats
+    the grid oracle's are; several (a Jacobi step) read aggregate rows."""
+
+    def utilities(x):       # x[q, :] are own rates of sensors[q]
+        if sensors.size == 1:
+            return _own_utilities(int(sensors[0]), a.r, x.ravel(), cfg).reshape(x.shape)
+        return _row_utilities(a, sensors[:, None], x, cfg)
+
     grid = np.linspace(min_rate, ends, points, axis=1)
-    # one sensor takes _own_rows' scalar-index path, the faster one
-    who = sensors[0] if sensors.size == 1 else np.repeat(sensors, points)
-    u = _own_utilities(who, r, grid.ravel(), cfg).reshape(-1, points)
+    u = utilities(grid)
     rows, k = np.arange(sensors.size), np.argmax(u, axis=1)
     cell = np.clip(k[:, None] + [-1, 0, 1], 0, points - 1)
-    a, top, b = grid[rows[:, None], cell].T
-    roots = np.array([_stationary_estimate(i, r, cfg, lo, hi) for i, lo, hi
-                      in zip(sensors.tolist(), a.tolist(), b.tolist())], dtype=float)
+    lo, top, hi = grid[rows[:, None], cell].T
+    roots = np.array([_stationary_estimate(i, a, cfg, left, right) for i, left, right
+                      in zip(sensors.tolist(), lo.tolist(), hi.tolist())], dtype=float)
     x = np.column_stack([roots, np.full(sensors.size, min_rate), ends, top])
-    u = np.column_stack([_own_utilities(sensors, r, roots, cfg), u[:, 0], u[:, -1], u[rows, k]])
+    u = np.column_stack([utilities(roots[:, None])[:, 0], u[:, 0], u[:, -1], u[rows, k]])
     u = np.where(np.isnan(u), -np.inf, u)
     best = u.max(axis=1)
     return np.where(u == best[:, None], x, np.inf).min(axis=1), best
@@ -390,7 +411,8 @@ class _OwnRate:
         self.a, self.b = float(grid[a]), float(grid[b])
         seen = [0, a, b, _COARSE_GRID - 1]      # the only grid points searches read
         self.u = dict(zip(grid[seen].tolist(), values[seen].tolist()))
-        self.x_hat = _stationary_estimate(self.i, self.r, self.cfg, self.a, self.b)
+        self.x_hat = _stationary_estimate(self.i, _Aggregates(self.r, self.cfg), self.cfg,
+                                          self.a, self.b)
 
     def read(self, x: float, guess=(), gradient=False):
         table, kernel, scalar = ((self.g, _own_gradients, gradient_all) if gradient
@@ -656,20 +678,49 @@ def check_existence(
 # Newton refinement on the joint first-order conditions
 # ---------------------------------------------------------------------------
 
-def _foc_hessian(r: np.ndarray, cfg: GameConfig) -> np.ndarray:
-    """Analytic Jacobian H[i, j] = d(du_i/dr_i)/dr_j of the pseudo-gradient;
-    its diagonal is the own curvatures, _curvatures(r, cfg)."""
-    d2u, a, tp, c, row = _jacobian_terms(r, cfg)
+def _foc_hessian(r: np.ndarray, cfg: GameConfig, terms=None) -> np.ndarray:
+    """Analytic Jacobian H[i, j] = d(du_i/dr_i)/dr_j of the pseudo-gradient,
+    from r's model._terms where given; its diagonal is the own curvatures,
+    _curvatures(r, cfg)."""
+    d2u, a, tp, c, row = _jacobian_terms(r, cfg, terms)
     H = -(a[:, None] * tp[None, :] * c[:, None]) - row[:, None]
-    np.fill_diagonal(H, d2u)
+    H.flat[::r.size + 1] = d2u      # the diagonal
     return H
 
 
 def _foc_residual(r: np.ndarray, cfg: GameConfig, min_rate: float):
     """(residual, gradient, free sensors) of the first-order conditions at r."""
-    g = gradient_all(r, cfg)
+    return _foc_state(r, cfg, min_rate)[:3]
+
+
+def _foc_state(r: np.ndarray, cfg: GameConfig, min_rate: float):
+    """_foc_residual at a profile r, and r's model._terms, which _foc_hessian
+    reads; at each row of a stack, with NaN gradients where a profile raises."""
+    terms = _terms(r, cfg)
+    g = _gradient(r, terms, cfg)
     free = (r > min_rate + 1e-14) | (g > 0.0)
-    return float(np.max(np.abs(np.where(free, g, 0.0)))) if free.any() else 0.0, g, free
+    resid = np.abs(np.where(free, g, 0.0)).max(axis=-1)     # 0 where nothing is free
+    return (float(resid) if r.ndim == 1 else resid), g, free, terms
+
+
+def _halving_states(cands: np.ndarray, cfg: GameConfig, min_rate: float):
+    """(k, _foc_state of cands[k]) of each feasible row of the line search's
+    halvings, in order, raising where _foc_state raises: one stacked pass
+    judges feasibility, the first _SEQUENTIAL_HALVINGS feasible rows are
+    evaluated one at a time, the rest in one stacked _foc_state, whose rows
+    give a profile's floats (model._terms)."""
+    ks = np.flatnonzero(_invert(cands, cfg)[4]).tolist()
+    for k in ks[:_SEQUENTIAL_HALVINGS]:
+        yield k, _foc_state(cands[k], cfg, min_rate)
+    rest = ks[_SEQUENTIAL_HALVINGS:]
+    if not rest:
+        return
+    resid, g, free, (z, t, load, eps, rho) = _foc_state(cands[rest], cfg, min_rate)
+    for q, k in enumerate(rest):
+        if g[q, 0] != g[q, 0]:
+            raise InfeasibleRates(float(load[q, 0]))
+        terms = z[q], t[q], float(load[q, 0]), float(eps[q, 0]), float(rho[q, 0])
+        yield k, (float(resid[q]), g[q], free[q], terms)
 
 
 def _refine_newton(
@@ -682,33 +733,35 @@ def _refine_newton(
 
     Moves along the Newton direction of the free sensors (those off the
     min_rate bound or pushing away from it), backtracking until the candidate
-    is feasible and shrinks the first-order residual; one stacked pass judges
-    every halving's feasibility.  Returns the best iterate found, the
-    iterations spent, and whether the residual is small enough to be worth a
-    fixed-point verification.
+    is feasible and shrinks the first-order residual (_halving_states).  The
+    accepted candidate's evaluation, its _terms and gradient, builds the next
+    step's Jacobian; where every sensor is free, the Jacobian is solved as it
+    is.  Returns the best iterate found, the iterations spent, and whether
+    the residual is small enough to be worth a fixed-point verification.
     """
     r = np.maximum(r_start.copy(), min_rate)
     if float(r.sum()) <= 0.0 or not _profile_feasible(r, cfg):
         return r_start, 0, False
     used = 0
-    resid, g, free = _foc_residual(r, cfg, min_rate)
+    resid, g, free, terms = _foc_state(r, cfg, min_rate)
     for _ in range(min(100, budget)):
         if resid < _FOC_TOL:
             return r, used, True
         used += 1
-        H = _foc_hessian(r, cfg)
-        idx = np.nonzero(free)[0]
+        H = _foc_hessian(r, cfg, terms)
         try:
-            step = np.linalg.solve(H[np.ix_(idx, idx)], -g[idx])
+            if free.all():
+                direction = np.linalg.solve(H, -g)
+            else:
+                idx = np.flatnonzero(free)
+                direction = np.zeros_like(r)
+                direction[idx] = np.linalg.solve(H[np.ix_(idx, idx)], -g[idx])
         except np.linalg.LinAlgError:
             return r, used, False
-        direction = np.zeros_like(r)
-        direction[idx] = step
         cands = np.maximum(r + _HALVINGS[:, None] * direction, min_rate)
-        for k in np.flatnonzero(_invert(cands, cfg)[4]).tolist():
-            rc, gc, fc = _foc_residual(cands[k], cfg, min_rate)
+        for k, (rc, gc, fc, tc) in _halving_states(cands, cfg, min_rate):
             if rc < resid * (1.0 - 0.25 * _HALVINGS[k]) or rc < _FOC_TOL:
-                r, resid, g, free = cands[k].copy(), rc, gc, fc
+                r, resid, g, free, terms = cands[k].copy(), rc, gc, fc, tc
                 break
         else:
             # stalled at the floating-point floor of the residual
@@ -731,14 +784,15 @@ def _gauss_seidel_step(
 
 def _jacobi_step(r: np.ndarray, cfg: GameConfig, opts: SolverOptions) -> np.ndarray:
     """Every sensor's best response to r on its closed-form interval."""
-    ends = _interval_ends(r, cfg, opts.min_rate)
+    a = _Aggregates(r, cfg)
+    ends = _interval_ends(a, cfg, opts.min_rate)
     sensors = np.arange(cfg.n_sensors)
-    return _best_responses(sensors, r, cfg, opts.min_rate, ends, _COARSE_GRID)[0]
+    return _best_responses(sensors, a, cfg, opts.min_rate, ends, _COARSE_GRID)[0]
 
 
 def _gradient_step(r: np.ndarray, cfg: GameConfig, opts: SolverOptions) -> np.ndarray:
     g = gradient_all(r, cfg)
-    upper = _interval_ends(r, cfg, opts.min_rate)
+    upper = _interval_ends(_Aggregates(r, cfg), cfg, opts.min_rate)
     return np.clip(r + opts.step_size * g, opts.min_rate, upper)
 
 
@@ -872,8 +926,8 @@ def verify_epsilon_ne(
     _check_nonnegative(epsilon, "epsilon")
     _check_nonnegative(min_rate, "min_rate")
     r_star = np.asarray(r_star, dtype=float)
-    base = _utilities_all(r_star, cfg)
-    best = [_best_responses(np.array([i]), r_star, cfg, min_rate,
+    base, a = _utilities_all(r_star, cfg), _Aggregates(r_star, cfg)
+    best = [_best_responses(np.array([i]), a, cfg, min_rate,
                             np.array([_bound_search(i, r_star, cfg, min_rate)]),
                             grid_points)[1].item() for i in range(cfg.n_sensors)]
     worst = max(u - float(u0) for u, u0 in zip(best, base))   # the first of the largest

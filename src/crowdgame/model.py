@@ -35,12 +35,23 @@ selector (one sensor, an index array or slice(None)) and the own column's
 inputs, Python floats for one sensor and arrays for a profile or a stack.
 Every evaluation calls it, the power-space utility too.  The one exception is
 `equilibrium._stationary_estimate`'s scalar Newton: NumPy made it 9x slower at n = 10.
+
+Own rows come in two forms.  A full-profile row (`_own_utilities`,
+`_own_gradients`) copies the profile with one entry replaced and runs
+`_invert` on it: the bits of one sensor's searches, of `verify` and of the
+grid oracle are those rows'.  An aggregate row (`_row_powers`,
+`_row_utilities`) reads one `_Aggregates` evaluation of the fixed profile
+(T_-i, R_-i and the largest other cap term) and costs O(1): the simultaneous
+steps read those, and they agree with the full rows to the rounding of the
+load margin 1 - T.  The derivatives read one `_terms` evaluation, which a
+Newton iterate carries from its line search to its Jacobian.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -171,10 +182,12 @@ class GameConfig:
     circuit_powers: np.ndarray = field(init=False, repr=False, compare=False)
     rate_prices: np.ndarray = field(init=False, repr=False, compare=False)
     power_caps: np.ndarray = field(init=False, repr=False, compare=False)
+    power_rooms: np.ndarray = field(init=False, repr=False, compare=False)
     inv_gain_pathloss: np.ndarray = field(init=False, repr=False, compare=False)
     wpt_factors: np.ndarray = field(init=False, repr=False, compare=False)
     ln2_per_bandwidth: np.ndarray = field(init=False, repr=False, compare=False)
     beta_cost_factors: np.ndarray = field(init=False, repr=False, compare=False)
+    noise_pathloss: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require(len(self.sensors) >= 1, "sensors", "need at least one sensor")
@@ -192,6 +205,7 @@ class GameConfig:
         self.circuit_powers = grab("circuit_power")
         self.rate_prices = grab("unit_rate_price")
         self.power_caps = grab("max_received_power")
+        self.power_rooms = self.power_caps - self.circuit_powers
         with np.errstate(over="ignore", invalid="ignore"):     # checked below
             # d_i^alpha_i / g_i converts beta_i back to transmit power
             self.inv_gain_pathloss = (grab("ap_distance")**grab("path_loss_exp")
@@ -201,6 +215,7 @@ class GameConfig:
             # dt_i/dr_i = ln2/b_i * 2^(-r_i/b_i), and the charging cost per unit beta_i
             self.ln2_per_bandwidth = LN2 / self.bandwidths
             self.beta_cost_factors = self.wpt_factors * self.inv_gain_pathloss
+            self.noise_pathloss = self.noise_variance * self.inv_gain_pathloss    # of cap terms
         inv, wpt = ("ap_distance**path_loss_exp / channel_gain",
                     "power_price * beacon_distance**wpt_path_loss_exp")
         for name, formula in (("inv_gain_pathloss", inv), ("wpt_factors", wpt),
@@ -420,15 +435,84 @@ def _utility_along(
     return u
 
 
-def _own_utilities(i, r: np.ndarray, x: np.ndarray, cfg: GameConfig) -> np.ndarray:
+def _own_utilities(i: int, r: np.ndarray, x: np.ndarray, cfg: GameConfig) -> np.ndarray:
     """utility_rate_space of sensor i at each own-rate x[q], the others fixed
-    at r; NaN where it would raise.  Never raises.  i is one sensor or an
-    array of one sensor per x[q]."""
+    at r, on full-profile rows; NaN where it would raise.  Never raises."""
     u = np.empty(x.size)
-    for q, Q, own in _own_rows(r, i, x):
+    for q, Q in _own_rows(r, i, x):
         *_, p, ok = _invert(Q, cfg)
-        u[q] = np.where(ok, _own_utility(own[1], x[q], p[own], Q.sum(axis=1), cfg), np.nan)
+        u[q] = np.where(ok, _own_utility(i, x[q], p[:, i], Q.sum(axis=1), cfg), np.nan)
     return u
+
+
+class _Aggregates:
+    """One evaluation of a fixed profile r for its own rows: along its own
+    rate, sensor i's load, power, verdict and total depend on the others only
+    through T_-i, R_-i and the largest other cap term.  Sensor j's cap term
+    t_j kappa_j s2/(cap_j - c_j) is <= 1 - T exactly where p_j <= cap_j; it is
+    infinite where cap_j = c_j and t_j > 0.  Each array is made when first read."""
+
+    def __init__(self, r: np.ndarray, cfg: GameConfig):
+        self.r, self.cfg = r, cfg
+        self.t = -np.expm1(-LN2 * (r / cfg.bandwidths))      # as _invert rounds it
+        self.load, self.total = float(self.t.sum()), float(r.sum())    # T, R
+
+    def _others(self, v: np.ndarray, total: float) -> np.ndarray:
+        """total - v_i; a row replaces its own rate, so a lone NaN or inf is left out."""
+        if math.isfinite(self.total):
+            return total - v
+        bad = ~np.isfinite(self.r)
+        return np.where(bad.sum() - bad == 0, v[~bad].sum() - np.where(bad, 0.0, v), np.nan)
+
+    @cached_property
+    def load_others(self) -> np.ndarray:
+        return self._others(self.t, self.load)
+
+    @cached_property
+    def total_others(self) -> np.ndarray:
+        return self._others(self.r, self.total)
+
+    @cached_property
+    def cap_terms(self) -> np.ndarray:
+        t, room = self.t, self.cfg.power_rooms
+        if room.all():
+            return t * self.cfg.noise_pathloss / room
+        return np.divide(t * self.cfg.noise_pathloss, room,
+                         out=np.where(t > 0.0, np.inf, 0.0), where=room > 0.0)
+
+    @cached_property
+    def cap_others(self) -> np.ndarray:
+        """The largest cap term of the sensors j != i, for each i."""
+        caps = self.cap_terms.copy()
+        first = caps.argmax()                   # the first NaN, if any
+        out = np.full(caps.size, caps[first])
+        caps[first] = -np.inf
+        out[first] = caps[caps.argmax()]        # -inf for one sensor
+        return out
+
+
+def _row_powers(a: _Aggregates, i, x: np.ndarray, cfg: GameConfig):
+    """(p, ok, total) of the rows of the profile a.r with entry i set to x, in
+    O(1) a row: sensor i's power by _invert's formula on the load T_-i + t(x),
+    the verdict of _invert (the load, i's cap and the largest other cap term)
+    and the total rate.  i indexes the per-sensor arrays so that the result
+    broadcasts against x: one sensor, an index array, or (slice(None), None)
+    for x of shape (n, k).  A row of NaN rates is infeasible.  Never raises."""
+    t = -np.expm1(-LN2 * (x / cfg.bandwidths[i]))
+    load = a.load_others[i] + t
+    ok = load < 1.0 - DEFAULT_FEASIBILITY_MARGIN
+    safe = np.where(ok, load, 0.0)
+    s2 = cfg.noise_variance
+    beta_sum = s2 * safe / (1.0 - safe)
+    p = cfg.circuit_powers[i] + t * (beta_sum + s2) * cfg.inv_gain_pathloss[i]
+    ok &= (p <= cfg.power_caps[i]) & (a.cap_others[i] <= 1.0 - safe)
+    return p, ok, a.total_others[i] + x
+
+
+def _row_utilities(a: _Aggregates, i, x: np.ndarray, cfg: GameConfig) -> np.ndarray:
+    """utility_rate_space on the rows of _row_powers; NaN where infeasible."""
+    p, ok, total = _row_powers(a, i, x, cfg)
+    return np.where(ok, _own_utility(i, x, p, total, cfg), np.nan)
 
 
 def utility_power_space(i: int, powers: PowerVector, cfg: GameConfig) -> float:
@@ -455,12 +539,34 @@ def utility_gradient_analytic(i: int, rates: RateVector, cfg: GameConfig) -> flo
 
 def gradient_all(r: np.ndarray, cfg: GameConfig) -> np.ndarray:
     """Analytic gradients d u_i / d r_i for every sensor at once."""
-    z = np.exp2(-(r / cfg.bandwidths))     # 2^(-r/b)
+    return _gradient(r, _terms(r, cfg), cfg)
+
+
+def _gradient(r: np.ndarray, terms, cfg: GameConfig) -> np.ndarray:
+    """gradient_all at a profile r from its _terms, raising as it does, or at
+    each row of a stack, NaN where that row would raise."""
+    z, t, load, eps, rho = terms
+    if r.ndim == 1:
+        if load >= 1.0 - DEFAULT_FEASIBILITY_MARGIN:
+            raise InfeasibleRates(load)
+        return _own_gradient(slice(None), r, z, t, eps, rho, cfg)
+    inside = load < 1.0 - DEFAULT_FEASIBILITY_MARGIN
+    g = _own_gradient(slice(None), r, z, t, np.where(inside, eps, 1.0), rho, cfg)
+    return np.where(inside, g, np.nan)
+
+
+def _terms(R: np.ndarray, cfg: GameConfig):
+    """(z, t, T, eps, rho) of a profile (n,) or of each row of a stack (k, n):
+    z = 2^(-r/b), t = 1 - z, the load T, its margin eps = 1 - T and the total
+    rate rho, the last three floats for a profile and (k, 1) columns for a
+    stack.  The derivatives read these; a Newton iterate is evaluated once."""
+    z = np.exp2(-(R / cfg.bandwidths))
     t = 1.0 - z
-    load = float(t.sum())
-    if load >= 1.0 - DEFAULT_FEASIBILITY_MARGIN:
-        raise InfeasibleRates(load)
-    return _own_gradient(slice(None), r, z, t, 1.0 - load, float(r.sum()), cfg)
+    if R.ndim == 1:
+        load = float(t.sum())
+        return z, t, load, 1.0 - load, float(R.sum())
+    load = t.sum(axis=1, keepdims=True)
+    return z, t, load, 1.0 - load, R.sum(axis=1, keepdims=True)
 
 
 def _own_gradient(j, x, z, t, eps, total, cfg: GameConfig):
@@ -482,17 +588,17 @@ def _own_gradient(j, x, z, t, eps, total, cfg: GameConfig):
     return cfg.rate_prices[j] - dpower_cost - _where(billed, dfee, 0.0)
 
 
-def _own_gradients(i, r: np.ndarray, x: np.ndarray, cfg: GameConfig) -> np.ndarray:
-    """gradient_all(r, cfg)[i] with r_i = x[q], the others fixed at r; NaN
-    where gradient_all raises.  Never raises.  i as for _own_utilities."""
+def _own_gradients(i: int, r: np.ndarray, x: np.ndarray, cfg: GameConfig) -> np.ndarray:
+    """gradient_all(r, cfg)[i] with r_i = x[q], the others fixed at r, on
+    full-profile rows; NaN where gradient_all raises.  Never raises."""
     g = np.empty(x.size)
-    for q, Q, own in _own_rows(r, i, x):
+    for q, Q in _own_rows(r, i, x):
         z = np.exp2(-(Q / cfg.bandwidths))
         t = 1.0 - z
         load = t.sum(axis=1)
         ok = load < 1.0 - DEFAULT_FEASIBILITY_MARGIN
         eps = np.where(ok, 1.0 - load, 1.0)
-        g[q] = np.where(ok, _own_gradient(own[1], x[q], z[own], t[own], eps, Q.sum(axis=1), cfg),
+        g[q] = np.where(ok, _own_gradient(i, x[q], z[:, i], t[:, i], eps, Q.sum(axis=1), cfg),
                         np.nan)
     return g
 
@@ -520,16 +626,16 @@ def _curvatures(R: np.ndarray, cfg: GameConfig) -> np.ndarray:
     return _jacobian_terms(R, cfg)[0]
 
 
-def _jacobian_terms(R: np.ndarray, cfg: GameConfig):
+def _jacobian_terms(R: np.ndarray, cfg: GameConfig, terms=None):
     """(d2u, a, tp, c, row) of the pseudo-gradient Jacobian H[i, j] =
-    d(du_i/dr_i)/dr_j at a feasible profile (n,) or at each row of (k, n):
-    H[i, i] = d2u_i and, off the diagonal, H[i, j] = -a_i tp_j c_i - row_i.
-    Powers of the load margin eps and of the total rate rho go through _pow,
-    so a profile and each row of a stack give the same floats."""
-    z = np.exp2(-(R / cfg.bandwidths))
-    t = 1.0 - z
-    eps = 1.0 - t.sum(axis=-1, keepdims=True)
-    rho = R.sum(axis=-1, keepdims=True)
+    d(du_i/dr_i)/dr_j at a feasible profile (n,) or at each row of (k, n),
+    from its _terms (evaluated here where not given): H[i, i] = d2u_i and,
+    off the diagonal, H[i, j] = -a_i tp_j c_i - row_i.  The fee terms are 0
+    at a zero total, as in _own_gradient.  Powers of eps and rho go through
+    _pow, so a profile and each row of a stack give the same floats."""
+    z, t, _, eps, rho = _terms(R, cfg) if terms is None else terms
+    billed = rho > 0.0
+    rho = _where(billed, rho, 1.0)
     e2, rho2 = _pow(eps, 2), _pow(rho, 2)
     lb = cfg.ln2_per_bandwidth
     tp, tpp = lb * z, -(lb**2) * z          # dt/dr, d^2t/dr^2
@@ -539,8 +645,9 @@ def _jacobian_terms(R: np.ndarray, cfg: GameConfig):
     d2p = ks2 * (tpp * te / e2 + tp * tp * big)     # of the charging cost
     bc = cfg.blockchain
     am2 = bc.quad_coeff * bc.compute_coeff**2
-    row = am2 - bc.const_coeff / rho2 + 2.0 * bc.const_coeff * R / _pow(rho, 3)
-    d2u = -d2p - (row + am2 - bc.const_coeff / rho2)
+    row = _where(billed, am2 - bc.const_coeff / rho2 + 2.0 * bc.const_coeff * R / _pow(rho, 3),
+                 np.zeros_like(R))
+    d2u = -d2p - _where(billed, row + am2 - bc.const_coeff / rho2, 0.0)
     return d2u, ks2 * tp, tp, big - 1.0 / e2, row
 
 
@@ -556,17 +663,15 @@ def _where(cond, a, b):
     return (a if cond else b) if isinstance(cond, bool) else np.where(cond, a, b)
 
 
-def _own_rows(r: np.ndarray, i, x: np.ndarray):
-    """Chunks (q, Q, own) of the profiles r with entry i set to x[q], at most
-    _STACK_SIZE rates each.  i is one sensor, or an array of one sensor per
-    x[q]; Q[own] picks each row's entry i, and own[1] its sensor."""
+def _own_rows(r: np.ndarray, i: int, x: np.ndarray):
+    """Chunks (q, Q) of the profiles r with entry i set to x[q], at most
+    _STACK_SIZE rates each."""
     step = max(1, _STACK_SIZE // r.size)
     for s in range(0, x.size, step):
         q = slice(s, min(s + step, x.size))
         Q = np.repeat(r[None], q.stop - s, axis=0)
-        own = (slice(None), i) if np.isscalar(i) else (np.arange(q.stop - s), i[q])
-        Q[own] = x[q]
-        yield q, Q, own
+        Q[:, i] = x[q]
+        yield q, Q
 
 
 def _with_entry(r: np.ndarray, i: int, value: float) -> np.ndarray:

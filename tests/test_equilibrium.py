@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import REPO_ROOT, make_config, make_sensor, own_rate_50_digits
-from crowdgame import equilibrium, oracle
+from crowdgame import equilibrium, model, oracle
 from crowdgame.equilibrium import (
     EmptyFeasibleInterval,
     SolverOptions,
@@ -511,7 +511,7 @@ def test_solve_stops_where_neither_dynamics_nor_refinement_can_start(
 
 
 def test_newton_stops_where_its_system_is_singular(sec4_cfg, monkeypatch):
-    monkeypatch.setattr(equilibrium, "_foc_hessian", lambda r, cfg: np.zeros((10, 10)))
+    monkeypatch.setattr(equilibrium, "_foc_hessian", lambda r, cfg, terms: np.zeros((10, 10)))
     start = np.full(10, 0.2)
     r, used, worth_verifying = equilibrium._refine_newton(start, sec4_cfg, 0.1, 10)
     assert np.array_equal(r, start) and (used, worth_verifying) == (1, False)
@@ -572,11 +572,12 @@ def test_the_stationary_estimate_finds_a_root_deep_in_a_wide_cell(sec4_cfg):
     cfg = _sec4_with_bandwidth(sec4_cfg, 1e50)
     gs = solve(cfg)
     assert gs.converged and gs.rates[0] == pytest.approx(9.4147, rel=1e-4)
-    end = equilibrium._interval_ends(gs.rates, cfg, 0.1)[0]
+    at = model._Aggregates(gs.rates, cfg)
+    end = equilibrium._interval_ends(at, cfg, 0.1)[0]
     cell = np.linspace(0.1, end, equilibrium._COARSE_GRID)[:2]
-    x = equilibrium._stationary_estimate(0, gs.rates, cfg, *cell)
+    x = equilibrium._stationary_estimate(0, at, cfg, *cell)
     assert x == pytest.approx(gs.rates[0], rel=1e-12)
-    best, u = equilibrium._best_responses(np.array([0]), gs.rates, cfg, 0.1, np.array([end]),
+    best, u = equilibrium._best_responses(np.array([0]), at, cfg, 0.1, np.array([end]),
                                           equilibrium._COARSE_GRID)
     assert best[0] == pytest.approx(gs.rates[0], rel=1e-12) and u[0] > 79.0
 
@@ -589,6 +590,52 @@ def test_jacobi_converges_where_an_interval_spans_decades(sec4_cfg):
         res = solve(cfg, SolverOptions(method=method, max_iter=50))
         assert res.converged, method
         assert np.max(np.abs(res.rates - gs.rates)) < 1e-8, method
+
+
+def test_jacobi_converges_from_a_zero_floor_where_an_interval_spans_decades(sec4_cfg):
+    # at min_rate 0 the best cell starts at 0, which the geometric split
+    # anchors at 2^-1000 of its top; Jacobi stopped unconverged after 300
+    # of 300 iterations here, at r_1 = 9.414694727608278
+    cfg = _sec4_with_bandwidth(sec4_cfg, 1e50)
+    ascent = solve(cfg, SolverOptions(method="gradient_ascent", min_rate=0.0, max_iter=300))
+    jacobi = solve(cfg, SolverOptions(method="jacobi_br", min_rate=0.0, max_iter=50))
+    assert ascent.converged and jacobi.converged
+    assert abs(jacobi.rates[0] - ascent.rates[0]) <= 1e-8
+
+
+def _fee_free_corner_config():
+    """Two sensors whose answer at min_rate 0 is the all-zero profile, where
+    every fee vanishes (ROADMAP item 12, case C, rounded to 4 digits)."""
+    columns = dict(
+        bandwidth=[9.224, 8.581], channel_gain=[25.82, 4.548], ap_distance=[0.09746, 0.8208],
+        path_loss_exp=[3.035, 3.44], circuit_power=[2.056, 1.189],
+        unit_rate_price=[0.5566, 0.1957], beacon_distance=[6.703, 1.275],
+        max_received_power=[445.1, 31.46],
+    )
+    sensors = [make_sensor(**{k: v[j] for k, v in columns.items()}) for j in range(2)]
+    chain = BlockchainParams(quad_coeff=0.004032, lin_coeff=0.5136, const_coeff=1.268,
+                             compute_coeff=64.44)
+    return make_config(sensors, noise_variance=0.02714, power_price=0.02884, blockchain=chain)
+
+
+@pytest.mark.parametrize("method", equilibrium._METHODS)
+def test_a_newton_step_onto_the_zero_profile_warns_nothing(method):
+    # gradient ascent's line search accepted the all-zero profile, and its
+    # Jacobian divided the fixed fee by the zero total rate squared
+    res = solve(_fee_free_corner_config(), SolverOptions(method=method, min_rate=0.0,
+                                                         max_iter=400))
+    if method != "gradient_ascent":
+        assert res.converged and np.array_equal(res.rates, [0.0, 0.0])
+
+
+def test_the_jacobian_has_no_fee_terms_at_a_zero_total(sec4_cfg):
+    # as the fee and the own gradient: fees vanish where every rate is 0
+    zero = np.zeros(10)
+    d2u, a, tp, c, row = model._jacobian_terms(zero, sec4_cfg)
+    assert np.array_equal(row, zero) and np.all(np.isfinite(d2u))
+    some = np.full(10, 0.1)                 # a stack row at a zero total, too
+    stacked = model._curvatures(np.array([zero, some]), sec4_cfg)
+    assert np.array_equal(stacked, [d2u, model._curvatures(some, sec4_cfg)])
 
 
 @pytest.mark.parametrize("flag", [True, False, np.True_])
@@ -715,7 +762,8 @@ def test_simultaneous_steps_from_an_answer_at_its_interval_end_stay_feasible():
     at_end = 0
     for args in ((5, 12, (1, 9), 300), (7, 3, (9, 21), 60)):
         for cfg, opts, res, case in _converged_answers(*args):
-            ends = equilibrium._interval_ends(res.rates, cfg, opts.min_rate)
+            ends = equilibrium._interval_ends(model._Aggregates(res.rates, cfg), cfg,
+                                              opts.min_rate)
             if np.any(np.abs(res.rates - ends) <= opts.tol):
                 for step in (equilibrium._jacobi_step, equilibrium._gradient_step):
                     assert equilibrium._profile_feasible(step(res.rates, cfg, opts), cfg), case

@@ -7,6 +7,7 @@ simultaneous steps run no search; they are checked against 50-digit
 maximizers and the feasibility boundary instead.
 """
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -617,9 +618,10 @@ def test_stacked_gradients_equal_the_scalar_gradient(sec4_cfg, monkeypatch):
 
 def test_each_quantity_has_one_value_on_every_path(sec4_cfg, monkeypatch):
     # the fee, the utility and the own gradient by their one-sensor calls,
-    # their profile calls and the own-row kernels at x = r_i, through both
-    # index paths of _own_rows, at the default stack size and at 25 rates a
-    # stacked call; an own row is NaN where the one-sensor call raises
+    # their profile calls and the full-profile own-row kernels at x = r_i, at
+    # the default stack size and at 25 rates a stacked call; an own row is NaN
+    # where the one-sensor call raises.  The aggregate rows are pinned to
+    # these within round-off by test_aggregate_rows_equal_the_full_profile_rows
     rng = np.random.default_rng(31)
     games = [(sec4_cfg, 0.3), (_tiled(sec4_cfg, 160), 0.005)]
     games += [(_random_game(rng, int(rng.integers(1, 8))), 0.4) for _ in range(12)]
@@ -627,7 +629,7 @@ def test_each_quantity_has_one_value_on_every_path(sec4_cfg, monkeypatch):
     for stack in (model._STACK_SIZE, 25):
         monkeypatch.setattr(model, "_STACK_SIZE", stack)
         for cfg, hi in games:
-            n, every = cfg.n_sensors, np.arange(cfg.n_sensors)
+            n = cfg.n_sensors
             profiles = [np.zeros(n)] + [rng.uniform(0.0, s * hi, n) for s in (0.5, 1, 2, 4)]
             if cfg is sec4_cfg:     # across the load limit and a power cap
                 profiles += _boundary_profiles(cfg, rng, 4)
@@ -635,21 +637,19 @@ def test_each_quantity_has_one_value_on_every_path(sec4_cfg, monkeypatch):
                 fees = model._fees_all(r, cfg)
                 utilities = _outcome(model._utilities_all, r, cfg)
                 gradients = _outcome(gradient_all, r, cfg)
-                u_rows = model._own_utilities(every, r, r, cfg)
-                g_rows = _own_gradients(every, r, r, cfg)
                 for i in sorted({0, n // 2, n - 1}):
                     assert model.transaction_fee(i, r, cfg) == fees[i]
                     u = _outcome(utility_rate_space, i, r, cfg)
                     u_own = model._own_utilities(i, r, r[[i]], cfg)[0]
                     if isinstance(u, float):
-                        assert utilities[i] == u_rows[i] == u_own == u
+                        assert utilities[i] == u_own == u
                     else:
-                        assert utilities == u and np.isnan([u_rows[i], u_own]).all()
+                        assert utilities == u and np.isnan(u_own)
                     g_own = _own_gradients(i, r, r[[i]], cfg)[0]
                     if isinstance(gradients, np.ndarray):
-                        assert g_rows[i] == g_own == gradients[i]
+                        assert g_own == gradients[i]
                     else:
-                        assert np.isnan([g_rows[i], g_own]).all()
+                        assert np.isnan(g_own)
                     u_kinds.add(float if isinstance(u, float) else u[0])
                     g_kinds.add(float if isinstance(gradients, np.ndarray) else gradients[0])
     assert u_kinds == {float, InfeasibleRates, PowerBoundExceeded}
@@ -788,7 +788,7 @@ def test_simultaneous_steps_answer_within_1e_12_of_50_digits(sec4_cfg):
     for k, (cfg, r, m) in enumerate(_simultaneous_step_cases(sec4_cfg)):
         n, opts = cfg.n_sensors, SolverOptions(min_rate=m, step_size=0.05)
         jacobi = _outcome(equilibrium._jacobi_step, r, cfg, opts)
-        ends = _outcome(equilibrium._interval_ends, r, cfg, m)
+        ends = _outcome(equilibrium._interval_ends, model._Aggregates(r, cfg), cfg, m)
         if isinstance(ends, tuple):     # the first sensor with no interval raises
             assert ends == _one_by_one(lambda i: _outcome(rate_upper_bound, i, r, cfg, m), n)
             assert jacobi == ends
@@ -906,7 +906,8 @@ def test_steps_without_a_finite_estimate_equal_a_loop_over_the_sensors(sec4_cfg,
     for cfg, r, m in cases:
         opts = SolverOptions(method="jacobi_br", min_rate=m, step_size=0.05)
         ends = _one_by_one(lambda i: _outcome(rate_upper_bound, i, r, cfg, m), cfg.n_sensors)
-        assert _outcome(lambda: equilibrium._interval_ends(r, cfg, m).tolist()) == ends
+        at = model._Aggregates(r, cfg)
+        assert _outcome(lambda: equilibrium._interval_ends(at, cfg, m).tolist()) == ends
         jacobi = _outcome(lambda: equilibrium._jacobi_step(r, cfg, opts).tolist())
         if isinstance(ends, tuple):
             assert jacobi == ends
@@ -932,40 +933,130 @@ def test_verify_equals_the_reference_loop_where_sensors_fail(sec4_cfg):
     assert verify_epsilon_ne(r, cfg, 1e-6, 64, 0.0)[1] >= oracle.grid_certify_ne(r, cfg, 64, 0.0)
 
 
-def _own_feasible(i, r, x, cfg):
-    """_interval_ends' feasibility pass: _invert over _own_rows' stacks."""
-    return np.concatenate([model._invert(Q, cfg)[4] for _, Q, _ in model._own_rows(r, i, x)])
-
-
 def test_per_row_kernels_equal_the_one_sensor_kernels(sec4_cfg, monkeypatch):
+    # the full-profile own rows of one sensor: the utility and the gradient of
+    # the one-sensor kernels at each row, NaN exactly where those raise
     rng = np.random.default_rng(23)
     big = _tiled(sec4_cfg, 160)
     cases = [(sec4_cfg, r) for r in _boundary_profiles(sec4_cfg, rng, 20)]
     cases += [(big, rng.uniform(0.0, 0.006, 160))]
-    kernels = (model._own_utilities, model._own_gradients, _own_feasible)
     verdicts = []
     for size in (model._STACK_SIZE, 70):        # 70: a few rows per chunk
         monkeypatch.setattr(model, "_STACK_SIZE", size)
         for cfg, r in cases:
-            n = cfg.n_sensors
-            sensors = rng.integers(0, n, size=37)
-            x = rng.uniform(0.0, 0.5, size=37)      # crosses the load limit
-            for kernel in kernels:
-                got = kernel(sensors, r, x, cfg)
-                want = [kernel(int(i), r, x[q:q + 1], cfg)[0] for q, i in enumerate(sensors)]
-                assert np.array_equal(got, want, equal_nan=got.dtype.kind == "f")
-            ok = _own_feasible(sensors, r, x, cfg)
-            assert ok.tolist() == [_profile_feasible(_with_entry(r, i, xq), cfg)
-                                   for i, xq in zip(sensors, x)]
-            verdicts += ok.tolist()
+            for i in sorted({0, cfg.n_sensors // 2, cfg.n_sensors - 1}):
+                x = rng.uniform(0.0, 0.5, size=37)      # crosses the load limit
+                rows = [_with_entry(r, i, xq) for xq in x]
+                u = [_outcome(utility_rate_space, i, q, cfg) for q in rows]
+                g = [_outcome(_own_gradient, i, q, cfg) for q in rows]
+                nan = lambda v: v if isinstance(v, float) else math.nan
+                assert np.array_equal(model._own_utilities(i, r, x, cfg), [nan(v) for v in u],
+                                      equal_nan=True)
+                assert np.array_equal(_own_gradients(i, r, x, cfg), [nan(v) for v in g],
+                                      equal_nan=True)
+                verdicts += [_profile_feasible(q, cfg) for q in rows]
     assert 0.1 < np.mean(verdicts) < 0.9
+
+
+def _full_rows(cfg, r, i, x):
+    """(own power, verdict, total rate, load) of _invert on each full profile
+    r with entry i[q] set to x[q]."""
+    rows = np.arange(x.size)
+    Q = np.repeat(r[None], x.size, axis=0)
+    Q[rows, i] = x
+    load, _, _, P, ok = _invert(Q, cfg)
+    return P[rows, i], ok, Q.sum(axis=1), load
+
+
+def _aggregate_row_cases(sec4):
+    """(cfg, profile): sec4's boundary profiles, seeded random games, sec4
+    tiled to 160 sensors, sensor 3's cap at its circuit power with r_3 > 0 and
+    r_3 = 0, and NaN rates."""
+    rng = np.random.default_rng(41)
+    cases = [(sec4, r) for r in _boundary_profiles(sec4, rng, 30)]
+    for _ in range(30):
+        cfg = _random_game(rng, int(rng.integers(1, 9)))
+        cases.append((cfg, rng.uniform(0.0, 0.6, size=cfg.n_sensors)))
+    big = _tiled(sec4, 160)
+    cases += [(big, rng.uniform(0.0, 0.006, 160)),
+              (big, -big.bandwidths * np.log2(1.0 - 0.999 / 160) * rng.uniform(0.97, 1.0, 160))]
+    stuck = sec4.sensors[3]
+    capped = replace(sec4, sensors=[replace(stuck, max_received_power=stuck.circuit_power)
+                                    if k == 3 else s for k, s in enumerate(sec4.sensors)])
+    cases += [(capped, np.full(10, 0.1)), (capped, _with_entry(np.full(10, 0.1), 3, 0.0))]
+    cases += [(sec4, _with_entry(np.full(10, 0.1), 6, np.nan))]
+    return cases
+
+
+def test_aggregate_rows_equal_the_full_profile_rows(sec4_cfg):
+    # the O(1) rows of model._Aggregates against _invert on the full profile:
+    # the verdict is the same except within 1e-12 relative of a boundary, and
+    # the values agree within the rounding of the load margin eps = 1 - T,
+    # whose relative error is about n eps_64/eps, so no flat ulp bound holds
+    ulp = np.finfo(float).eps
+    rng = np.random.default_rng(42)
+    rows = near = flipped = 0
+    verdicts = set()
+    for cfg, r in _aggregate_row_cases(sec4_cfg):
+        n, at = cfg.n_sensors, model._Aggregates(r, cfg)
+        sensors = np.repeat(np.arange(n), 12)
+        x = rng.uniform(0.0, 0.6, size=sensors.size)
+        x[::12] = r                                     # the profile itself
+        around = 1.0 + np.array([-1e-9, -1e-13, 0.0, 1e-13, 1e-9])
+        for k in range(n):                              # around each interval end
+            end = _outcome(rate_upper_bound, k, r, cfg, 0.0)
+            if isinstance(end, float):
+                x[12 * k + 1:12 * k + 6] = end * around
+        x[-1] = np.nan
+        p, ok, total = model._row_powers(at, sensors, x, cfg)
+        u = model._row_utilities(at, sensors, x, cfg)
+        assert np.array_equal(np.isnan(u), ~ok)
+        # every index form gives the same rows: one sensor, and (n, k) own rates
+        for k in range(n):
+            one = model._row_powers(at, k, x[sensors == k], cfg)
+            assert all(np.array_equal(a, b[sensors == k], equal_nan=True)
+                       for a, b in zip(one, (p, ok, total)))
+        grid = x.reshape(n, 12)
+        each = model._row_utilities(at, (slice(None), None), grid, cfg)
+        assert np.array_equal(each, u.reshape(n, 12), equal_nan=True)
+
+        p_full, ok_full, total_full, load = _full_rows(cfg, r, sensors, x)
+        delta = 1e-12 * np.maximum(1.0, x)
+        edge = (_full_rows(cfg, r, sensors, x - delta)[1]
+                != _full_rows(cfg, r, sensors, x + delta)[1])
+        assert np.all((ok == ok_full) | edge)
+        rows, near, flipped = rows + x.size, near + edge.sum(), flipped + (ok != ok_full).sum()
+        verdicts |= set(ok.tolist())
+
+        both = ok & ok_full
+        eps = 1.0 - load[both]
+        drift = (n + 4) * ulp * (np.nansum(at.t) + 1.0)     # of T, and of 1 - T: drift/eps
+        c, i = cfg.circuit_powers[sensors[both]], sensors[both]
+        bound_p = (p_full[both] - c) * (drift / eps + 8 * ulp) + 4 * ulp * p_full[both]
+        assert np.all(np.abs(p[both] - p_full[both]) <= bound_p)
+        # R_-i = R - r_i cancels where r_i dominates R
+        bound_total = (n + 2) * ulp * (np.nansum(r) + total_full[both])
+        assert np.all(np.abs(total[both] - total_full[both]) <= bound_total)
+        u_full = model._own_utilities
+        want = np.array([u_full(int(j), r, x[q:q + 1], cfg)[0]
+                         for q, j in enumerate(sensors) if both[q]])
+        bc, rho = cfg.blockchain, total_full[both]
+        fee = model._fee(x[both], rho, cfg)
+        dfee = x[both] * (bc.quad_coeff * bc.compute_coeff**2 + bc.const_coeff / rho**2)
+        price, wpt = cfg.rate_prices[i] * x[both], cfg.wpt_factors[i] * p_full[both]
+        bound_u = (cfg.wpt_factors[i] * bound_p + dfee * bound_total
+                   + 8 * ulp * (price + wpt + fee))
+        assert np.all(np.abs(u[both] - want) <= bound_u)
+    assert verdicts == {True, False} and rows > 10_000
+    # rows within 1e-12 of a boundary are common, and the verdicts part at few
+    assert near > 300 and flipped < near // 4
 
 
 def test_a_jacobi_step_makes_one_feasibility_and_few_stacked_passes(sec4_cfg, monkeypatch):
     profiles = []
     for method in equilibrium._METHODS:
         profiles += list(solve(sec4_cfg, SolverOptions(method=method, max_iter=40)).trace)
-    names = ("_own_utilities", "_own_gradients", "_invert", "_bound_search")
+    names = ("_row_utilities", "_row_powers", "_own_utilities", "_invert", "_bound_search")
     counts = []
 
     def counting(name):
@@ -988,9 +1079,11 @@ def test_a_jacobi_step_makes_one_feasibility_and_few_stacked_passes(sec4_cfg, mo
     for name in names:
         monkeypatch.setattr(equilibrium, name, counting(name))
     jacobi, gradient = equilibrium._jacobi_step, equilibrium._gradient_step
-    # ten best responses in lockstep made 6.84 stacked passes a step, and
-    # ten sequential ones about 44 stacked calls and 20 scalar probes
-    for step, want in ((jacobi, (2, 0, 1, 0)), (gradient, (0, 0, 1, 0))):
+    # a Jacobi step reads two passes of aggregate utility rows and one of
+    # aggregate feasibility rows, and no full-profile row; ten best responses
+    # in lockstep made 6.84 stacked passes a step, and ten sequential ones
+    # about 44 stacked calls and 20 scalar probes
+    for step, want in ((jacobi, (2, 1, 0, 0, 0)), (gradient, (0, 1, 0, 0, 0))):
         got, outcomes = passes(step)
         assert passes(step)[0] == got          # the counts repeat exactly
         closed = [c for c, o in zip(got, outcomes)    # answered, and no end fell back
@@ -1006,8 +1099,8 @@ def test_a_jacobi_step_makes_one_feasibility_and_few_stacked_passes(sec4_cfg, mo
 
 
 def test_verify_reads_each_sensors_grid_with_a_scalar_index(sec4_cfg, monkeypatch):
-    # one sensor's grid takes _own_rows' scalar-index path, the faster one;
-    # the per-row index array np.repeat(sensors, points) gives equal values
+    # one sensor's grid reads that sensor's full-profile rows, whose floats
+    # are the grid oracle's; aggregate rows serve only the Jacobi step
     kernel, seen = equilibrium._own_utilities, []
 
     def spy(i, r, x, cfg):
@@ -1076,6 +1169,39 @@ def test_newton_line_search_equals_the_halving_loop(newton_calls):
         kinds += _halving_kinds(call)
     assert len(newton_calls) == 6 and len(kinds) > 60     # 76 Newton steps
     assert {"none feasible", "first fails", "first passes"} <= set(kinds)
+
+
+def test_newton_with_every_halving_stacked_equals_the_halving_loop(newton_calls, monkeypatch):
+    # the line search's stacked first-order pass gives a profile's floats:
+    # with no halving evaluated on its own, every call still equals the loop
+    monkeypatch.setattr(equilibrium, "_SEQUENTIAL_HALVINGS", 0)
+    for call in newton_calls:
+        _pinned(call)
+
+
+def test_newton_raises_where_the_halving_loop_reads_an_infeasible_gradient(sec4_cfg, monkeypatch):
+    # a wider margin for the gradient only, as in the best-response test: the
+    # start lies inside it and the Newton step past it, so the literal loop
+    # raises at the step; one at a time or stacked, the line search does too
+    start = solve(sec4_cfg).rates * 0.97
+    default = model.DEFAULT_FEASIBILITY_MARGIN
+    monkeypatch.setattr(model, "DEFAULT_FEASIBILITY_MARGIN", 1e-3)
+
+    def at_the_default_margin(*args):       # _invert, the feasibility kernel, reads it too
+        model.DEFAULT_FEASIBILITY_MARGIN = default
+        try:
+            return _invert(*args)
+        finally:
+            model.DEFAULT_FEASIBILITY_MARGIN = 1e-3
+
+    for module in (model, equilibrium):
+        monkeypatch.setattr(module, "_invert", at_the_default_margin)
+    assert gradient_all(start, sec4_cfg).shape == (10,)
+    want = _outcome(ref.refine_newton, start, sec4_cfg, 0.1, 20)
+    assert want[0] is InfeasibleRates
+    for sequential in (2, 0):
+        monkeypatch.setattr(equilibrium, "_SEQUENTIAL_HALVINGS", sequential)
+        assert _outcome(equilibrium._refine_newton, start, sec4_cfg, 0.1, 20) == want
 
 
 @pytest.mark.parametrize("kind", ["none feasible", "first fails"])
