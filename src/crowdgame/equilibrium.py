@@ -19,15 +19,18 @@ A `converged=True` result is certified: one application of the method's own
 update map moves it by less than `tol`.  With refine_after=0 the clock never
 starts, and the pure dynamics stop at the first step that raises or overshoots.
 
-`rate_upper_bound` replays its doubling and bisection search against x < x_hat,
-a closed-form estimate of the feasible interval's end, then probes the kernel
-at the largest rate judged feasible and the smallest judged infeasible.  The
-kernel is monotone in each rate, so if both verdicts hold, every replayed
-decision is the literal search's; otherwise the search reruns on real probes.
+Every own-rate search reads its caller's evaluation of the profile
+(`model._Aggregates`): one a Gauss-Seidel best response, a simultaneous step,
+a `verify` and a `rate_upper_bound`.  `rate_upper_bound` replays its doubling
+and bisection search against x < x_hat, a closed-form estimate of the
+feasible interval's end, then probes the kernel on full profiles at the
+largest rate judged feasible and the smallest judged infeasible.  The kernel
+is monotone in each rate, so if both verdicts hold, every replayed decision
+is the literal search's; otherwise the search reruns on real probes.  x_hat
+only steers, so whatever the evaluation holds at entry i, no bit moves.
 
-A Jacobi step and a gradient step evaluate their iterate once
-(`model._Aggregates`) and take every sensor's interval end in closed form
-(`_interval_ends`), 1e-12 inside the boundary, checked in one pass of
+A Jacobi step and a gradient step take every sensor's interval end in closed
+form (`_interval_ends`), 1e-12 inside the boundary, checked in one pass of
 aggregate rows; an end that fails the check or lies past the search's last
 doubling falls back to the replayed search, so every method raises on a
 degenerate config.  `_best_responses` answers from the grid and the
@@ -238,7 +241,7 @@ def _rate_limit_estimate(i, a: _Aggregates, cfg: GameConfig):
     (cap_i - c_i + kappa_i s2)) as a rate; -inf where an infinite cap term
     leaves no rate.  i is one sensor, or an index array of sensors."""
     s2k, room = cfg.noise_pathloss[i], cfg.power_rooms[i]
-    free = 1.0 - (a.load - a.t[i])
+    free = 1.0 - a.load_others[i]
     own = room * free / (room + s2k)
     top = a.cap_terms.max()
     t_hat = np.minimum(np.minimum(free - DEFAULT_FEASIBILITY_MARGIN, free - top), own)
@@ -257,11 +260,12 @@ def rate_upper_bound(
     Raises:
         EmptyFeasibleInterval: even min_rate is infeasible against `rates`.
         DegenerateConfig: a degenerate config, feasible at every doubling to ~2^200.
+        ValueError: a bad min_rate, or `rates` not n finite rates >= 0.
     """
     _check_nonnegative(min_rate, "min_rate")
     _check_sensor_id(i, cfg)
-    r = _with_entry(np.asarray(rates, dtype=float), i, min_rate)
-    return _bound_search(i, _as_rates(r, cfg), cfg, min_rate)
+    r = _with_entry(_as_profile(rates, cfg, "rates"), i, min_rate)
+    return _bound_search(i, _Aggregates(_as_rates(r, cfg), cfg), cfg, min_rate)
 
 
 def _interval_ends(a: _Aggregates, cfg: GameConfig, min_rate: float) -> np.ndarray:
@@ -279,16 +283,15 @@ def _interval_ends(a: _Aggregates, cfg: GameConfig, min_rate: float) -> np.ndarr
     ok = _row_powers(a, (slice(None), None), x, cfg)[1]     # sensor i's row i of x
     ends = np.maximum(e, min_rate)
     for i in np.flatnonzero(~(inside & ok[:, 0] & ok[:, 1] & ~ok[:, 2])).tolist():
-        ends[i] = _bound_search(i, a.r, cfg, min_rate)
+        ends[i] = _bound_search(i, a, cfg, min_rate)
     return ends
 
 
-def _bound_search(i: int, r: np.ndarray, cfg: GameConfig, min_rate: float):
-    """rate_upper_bound on a valid profile r: the replay against x_hat, its
-    two verdicts checked by scalar probes, and the literal search where one fails."""
-    r = _with_entry(r, i, min_rate)
-    x_hat = float(_rate_limit_estimate(i, _Aggregates(r, cfg), cfg))
-    feasible = lambda x: _profile_feasible(_with_entry(r, i, x), cfg)
+def _bound_search(i: int, a: _Aggregates, cfg: GameConfig, min_rate: float):
+    """rate_upper_bound at the profile a.r, whatever its entry i: the replay,
+    its two verdicts probed, or the literal search where one fails."""
+    x_hat = float(_rate_limit_estimate(i, a, cfg))
+    feasible = lambda x: _profile_feasible(_with_entry(a.r, i, x), cfg)
     lo, hi = _interval_search(lambda x: x < x_hat, min_rate)
     if not (hi < math.inf and not feasible(hi) and (lo is None or feasible(lo))):
         lo, hi = _interval_search(feasible, min_rate)      # the replay does not hold
@@ -311,8 +314,8 @@ def _stationary_estimate(
     formula written in F = 1 - T_-i and R_-i; lo or hi where the gradient
     keeps one sign."""
     bw, bc = float(cfg.bandwidths[i]), cfg.blockchain
-    free = 1.0 - (a.load - float(a.t[i]))
-    rest = a.total - float(a.r[i])
+    free = 1.0 - float(a.load_others[i])
+    rest = float(a.total_others[i])
     kap = float(cfg.beta_cost_factors[i]) * cfg.noise_variance
     am2, c = bc.quad_coeff * bc.compute_coeff**2, bc.const_coeff
     lin = float(cfg.rate_prices[i]) - bc.lin_coeff * bc.compute_coeff
@@ -387,8 +390,8 @@ def _best_responses(sensors: np.ndarray, a: _Aggregates, cfg: GameConfig,
 
 class _OwnRate:
     """Sensor i's utility and gradient along its own rate, the others fixed at
-    r: the kernel values the best-response searches read, a stacked call at
-    a time.
+    the profile of the evaluation `at`: the kernel values the best-response
+    searches read, a stacked call at a time.
 
     scan(lo, hi) evaluates the _COARSE_GRID-point grid on [lo, hi], keeps the
     edges a, b of the cells around its first maximum, and estimates x_hat,
@@ -398,8 +401,8 @@ class _OwnRate:
     and raises the scalar kernel's typed error only when read.
     """
 
-    def __init__(self, i, r, cfg):
-        self.i, self.r, self.cfg = i, r, cfg
+    def __init__(self, i, at: _Aggregates, cfg):
+        self.i, self.at, self.r, self.cfg = i, at, at.r, cfg
         self.u, self.g = {}, {}
 
     def scan(self, lo, hi):
@@ -411,8 +414,7 @@ class _OwnRate:
         self.a, self.b = float(grid[a]), float(grid[b])
         seen = [0, a, b, _COARSE_GRID - 1]      # the only grid points searches read
         self.u = dict(zip(grid[seen].tolist(), values[seen].tolist()))
-        self.x_hat = _stationary_estimate(self.i, _Aggregates(self.r, self.cfg), self.cfg,
-                                          self.a, self.b)
+        self.x_hat = _stationary_estimate(self.i, self.at, self.cfg, self.a, self.b)
 
     def read(self, x: float, guess=(), gradient=False):
         table, kernel, scalar = ((self.g, _own_gradients, gradient_all) if gradient
@@ -525,13 +527,14 @@ def _best_response_full(
     section down to a 1e-10 bracket, then a derivative-sign bisection polish
     inside the grid bracket.  The polish pins interior stationary points to
     machine precision, which the downstream fixed-point solve needs.  Both
-    searches are replayed; see the module docstring.
+    searches are replayed on one evaluation of `rates`; see the module docstring.
     """
-    hi = _bound_search(i, rates, cfg, min_rate)
+    a = _Aggregates(_with_entry(rates, i, min_rate), cfg)
+    hi = _bound_search(i, a, cfg, min_rate)
     lo = min_rate
     if hi <= lo:
         return lo
-    p = _OwnRate(i, rates, cfg)
+    p = _OwnRate(i, a, cfg)
     p.scan(lo, hi)
     root, x_hat = _polish(p, max(lo, p.a - _GOLDEN_WIDTH), min(hi, p.b + _GOLDEN_WIDTH))
     best_x, best_u = _golden_max(p, p.a, p.b, x_hat)
@@ -561,6 +564,8 @@ def best_response(
 
     Raises:
         EmptyFeasibleInterval: the opponents already saturate the channel.
+        DegenerateConfig: a degenerate config, feasible at every doubling to ~2^200.
+        ValueError: `r_others` is not n - 1 finite rates >= 0.
     """
     opts = opts or SolverOptions()
     full = _full_profile(i, r_others, cfg, opts.min_rate)
@@ -928,7 +933,7 @@ def verify_epsilon_ne(
     r_star = np.asarray(r_star, dtype=float)
     base, a = _utilities_all(r_star, cfg), _Aggregates(r_star, cfg)
     best = [_best_responses(np.array([i]), a, cfg, min_rate,
-                            np.array([_bound_search(i, r_star, cfg, min_rate)]),
+                            np.array([_bound_search(i, a, cfg, min_rate)]),
                             grid_points)[1].item() for i in range(cfg.n_sensors)]
     worst = max(u - float(u0) for u, u0 in zip(best, base))   # the first of the largest
     return worst <= epsilon, worst

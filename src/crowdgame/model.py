@@ -43,7 +43,7 @@ grid oracle are those rows'.  An aggregate row (`_row_powers`,
 `_row_utilities`) reads one `_Aggregates` evaluation of the fixed profile
 (T_-i, R_-i and the largest other cap term) and costs O(1): the simultaneous
 steps read those, and they agree with the full rows to the rounding of the
-load margin 1 - T.  The derivatives read one `_terms` evaluation, which a
+load margin 1 - T.  Every own-rate search reads its caller's evaluation.  The derivatives read one `_terms` evaluation, which a
 Newton iterate carries from its line search to its Jacobian.
 """
 
@@ -296,13 +296,18 @@ def forward_rates(powers: PowerVector, cfg: GameConfig) -> RateVector:
     return r
 
 
+def _load_shares(r, b):
+    """t = gamma/(1+gamma) = 1 - 2^(-r/b) of rates r on bandwidths b, computed stably."""
+    return -np.expm1(-LN2 * (r / b))
+
+
 def _invert(r: np.ndarray, cfg: GameConfig):
     """(load, beta_sum, beta, powers, ok) of a profile (n,) or of each row of (k, n).
 
     `ok` is False where T >= 1 - DEFAULT_FEASIBILITY_MARGIN, a power exceeds its
     cap or a rate is NaN; one profile with infeasible load returns None for the arrays.
     """
-    t = -np.expm1(-LN2 * (r / cfg.bandwidths))  # gamma/(1+gamma), computed stably
+    t = _load_shares(r, cfg.bandwidths)
     s2 = cfg.noise_variance
     if r.ndim == 1:
         load = float(t.sum())
@@ -450,27 +455,14 @@ class _Aggregates:
     rate, sensor i's load, power, verdict and total depend on the others only
     through T_-i, R_-i and the largest other cap term.  Sensor j's cap term
     t_j kappa_j s2/(cap_j - c_j) is <= 1 - T exactly where p_j <= cap_j; it is
-    infinite where cap_j = c_j and t_j > 0.  Each array is made when first read."""
+    infinite where cap_j = c_j and t_j > 0.  r is finite and >= 0, as the API
+    edge checks; the cap arrays are made when first read."""
 
     def __init__(self, r: np.ndarray, cfg: GameConfig):
         self.r, self.cfg = r, cfg
-        self.t = -np.expm1(-LN2 * (r / cfg.bandwidths))      # as _invert rounds it
+        self.t = _load_shares(r, cfg.bandwidths)
         self.load, self.total = float(self.t.sum()), float(r.sum())    # T, R
-
-    def _others(self, v: np.ndarray, total: float) -> np.ndarray:
-        """total - v_i; a row replaces its own rate, so a lone NaN or inf is left out."""
-        if math.isfinite(self.total):
-            return total - v
-        bad = ~np.isfinite(self.r)
-        return np.where(bad.sum() - bad == 0, v[~bad].sum() - np.where(bad, 0.0, v), np.nan)
-
-    @cached_property
-    def load_others(self) -> np.ndarray:
-        return self._others(self.t, self.load)
-
-    @cached_property
-    def total_others(self) -> np.ndarray:
-        return self._others(self.r, self.total)
+        self.load_others, self.total_others = self.load - self.t, self.total - r   # T_-i, R_-i
 
     @cached_property
     def cap_terms(self) -> np.ndarray:
@@ -484,7 +476,7 @@ class _Aggregates:
     def cap_others(self) -> np.ndarray:
         """The largest cap term of the sensors j != i, for each i."""
         caps = self.cap_terms.copy()
-        first = caps.argmax()                   # the first NaN, if any
+        first = caps.argmax()
         out = np.full(caps.size, caps[first])
         caps[first] = -np.inf
         out[first] = caps[caps.argmax()]        # -inf for one sensor
@@ -498,7 +490,7 @@ def _row_powers(a: _Aggregates, i, x: np.ndarray, cfg: GameConfig):
     and the total rate.  i indexes the per-sensor arrays so that the result
     broadcasts against x: one sensor, an index array, or (slice(None), None)
     for x of shape (n, k).  A row of NaN rates is infeasible.  Never raises."""
-    t = -np.expm1(-LN2 * (x / cfg.bandwidths[i]))
+    t = _load_shares(x, cfg.bandwidths[i])
     load = a.load_others[i] + t
     ok = load < 1.0 - DEFAULT_FEASIBILITY_MARGIN
     safe = np.where(ok, load, 0.0)

@@ -17,8 +17,8 @@ import math
 
 import numpy as np
 
-from .equilibrium import (DEFAULT_MIN_RATE, EmptyFeasibleInterval, _check_count,
-                          _check_nonnegative, _full_profile, _interval_search)
+from .equilibrium import (DEFAULT_MIN_RATE, DegenerateConfig, EmptyFeasibleInterval,
+                          _check_count, _check_nonnegative, _full_profile, _interval_search)
 from .model import (GameConfig, InfeasibilityError, RateVector, _as_profile, _check_sensor_id,
                     _utility_along, _with_entry, utility_rate_space)
 
@@ -89,7 +89,7 @@ def _upper_bound(i: int, r: np.ndarray, cfg: GameConfig, min_rate: float) -> flo
     if lo is None:
         raise EmptyFeasibleInterval(i, min_rate)
     if hi == math.inf:
-        raise ValueError(f"sensor {i}: no infeasible upper rate found")
+        raise DegenerateConfig(i)
     return lo
 
 

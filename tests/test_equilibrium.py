@@ -109,6 +109,22 @@ def test_public_calls_reject_a_non_integer_sensor_id(sec4_cfg, call, sensor):
     assert str(e.value) == f"sensor id {sensor!r} is not an integer"
 
 
+def test_rate_upper_bound_checks_the_shape_before_it_sets_the_entry(sec4_cfg):
+    # a 0-d profile raised NumPy's IndexError: entry i was set before the check
+    for rates, shape in ((5.0, ()), (np.float64(5.0), ()), (np.full(1, 0.1), (1,)),
+                         (np.full((2, 10), 0.1), (2, 10))):
+        with pytest.raises(ValueError) as e:
+            rate_upper_bound(3, rates, sec4_cfg)
+        assert str(e.value) == f"rates has shape {shape}, expected (10,)"
+    # the values are checked after entry i is replaced, as before
+    r = np.full(10, 0.2)
+    assert rate_upper_bound(3, model._with_entry(r, 3, np.nan), sec4_cfg) == rate_upper_bound(
+        3, r, sec4_cfg)
+    with pytest.raises(ValueError) as e:
+        rate_upper_bound(3, model._with_entry(r, 4, -1.0), sec4_cfg)
+    assert str(e.value) == "rates must be finite and >= 0"
+
+
 def test_numpy_integer_sensor_ids_stay_accepted(sec4_cfg):
     r = np.full(10, 0.2)
     for k in (np.int64(3), np.int32(3), np.uint8(3)):
@@ -542,9 +558,10 @@ def test_a_degenerate_config_raises_value_error(sec4_cfg):
     with pytest.raises(ValueError) as e:
         rate_upper_bound(0, r, cfg)
     assert str(e.value) == "sensor 0: no infeasible upper rate found; config degenerate"
-    with pytest.raises(ValueError) as e:
+    with pytest.raises(equilibrium.DegenerateConfig) as e:     # a bare ValueError before
         oracle.grid_best_response(0, r[1:], cfg, 100)
-    assert str(e.value) == "sensor 0: no infeasible upper rate found"
+    assert e.value.sensor == 0
+    assert str(e.value) == "sensor 0: no infeasible upper rate found; config degenerate"
     assert rate_upper_bound(1, r, cfg) < 2.0
     below = _sec4_with_bandwidth(sec4_cfg, 1e60)      # its end is 7.3e59 < 2^200
     assert rate_upper_bound(0, r, below) == pytest.approx(7.3006e59, rel=1e-4)

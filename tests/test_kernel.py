@@ -482,6 +482,64 @@ def test_rate_upper_bound_falls_back_on_a_wrong_estimate(sec4_cfg, monkeypatch, 
     assert len(probes) > 20 * len(cases)    # most calls reran on real probes
 
 
+def test_the_interval_search_reads_any_evaluation_of_its_profile(sec4_cfg):
+    # _bound_search returns the literal search's float whatever entry i of its
+    # evaluation holds: min_rate (a best response), the profile's own rate
+    # (verify, a simultaneous step's fallback) or a rate past the interval's
+    # end, infeasible with the others (a Gauss-Seidel sweep's old rate)
+    rng = np.random.default_rng(52)
+    cases = [(sec4_cfg, r) for r in _boundary_profiles(sec4_cfg, rng, 60)]
+    for _ in range(60):
+        cfg = _random_game(rng, int(rng.integers(1, 8)))
+        cases.append((cfg, rng.uniform(0.0, 0.6, size=cfg.n_sensors)))
+    kinds, past = set(), 0
+    for cfg, r in cases:
+        for i in sorted({0, cfg.n_sensors // 2, cfg.n_sensors - 1}):
+            for m in (0.0, 0.1):
+                want = _outcome(ref.rate_upper_bound, i, r, cfg, m)
+                entries = [m, r[i], 2.0 * r[i] + 5.0]
+                if isinstance(want, float):
+                    entries.append(want * (1.0 + rng.uniform(1e-9, 0.1)))
+                for x in entries:
+                    at = model._Aggregates(_with_entry(r, i, x), cfg)
+                    assert _outcome(equilibrium._bound_search, i, at, cfg, m) == want
+                    past += x > m and not _profile_feasible(at.r, cfg)
+                kinds.add(float if isinstance(want, float) else want[0])
+    assert kinds == {float, equilibrium.EmptyFeasibleInterval} and past > 500
+
+
+def test_each_search_makes_one_evaluation_of_its_profile(sec4_cfg, monkeypatch):
+    # one model._Aggregates a Gauss-Seidel best response (two before), a
+    # rate_upper_bound and a verify (n + 1 before), shared by its searches
+    res = solve(sec4_cfg, SolverOptions(max_iter=40))
+    built = []
+
+    class Counted(model._Aggregates):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    def evaluations(call, *args):
+        built.clear()
+        _outcome(call, *args)
+        return len(built)
+
+    monkeypatch.setattr(equilibrium, "_Aggregates", Counted)
+    answered = 0
+    for r in res.trace:
+        for i in range(10):
+            for m in (0.0, 0.1):
+                assert evaluations(_best_response_full, i, r, sec4_cfg, m) == 1
+                assert evaluations(rate_upper_bound, i, r, sec4_cfg, m) == 1
+                answered += isinstance(_outcome(rate_upper_bound, i, r, sec4_cfg, m), float)
+        opts = SolverOptions(min_rate=0.1)     # a sweep answered: one a sensor
+        if isinstance(_outcome(equilibrium._gauss_seidel_step, r, sec4_cfg, opts), np.ndarray):
+            assert evaluations(equilibrium._gauss_seidel_step, r, sec4_cfg, opts) == 10
+    assert answered > 100
+    for points in (2, 500):
+        assert evaluations(verify_epsilon_ne, res.rates, sec4_cfg, 1e-6, points) == 1
+
+
 def test_rate_upper_bound_probes_the_kernel_at_most_three_times(sec4_cfg, monkeypatch):
     rng = np.random.default_rng(18)
     profiles = [rng.uniform(0.05, 0.35, size=10) for _ in range(60)]
@@ -661,7 +719,7 @@ def test_replay_table_reads_raise_the_scalar_kernels_errors(sec4_cfg):
     for others in (0.01, 0.12):     # quiet opponents: sensor 4's own cap binds first
         r, i = np.full(10, others), 4
         hi = rate_upper_bound(i, r, sec4_cfg, 0.0)
-        p = equilibrium._OwnRate(i, r, sec4_cfg)
+        p = equilibrium._OwnRate(i, model._Aggregates(r, sec4_cfg), sec4_cfg)
         p.scan(0.0, hi)
         for x in (hi, hi * 1.001, hi * 1.5, 3.0):   # past the interval, then the load
             want = _outcome(utility_rate_space, i, _with_entry(r, i, x), sec4_cfg)
@@ -970,8 +1028,8 @@ def _full_rows(cfg, r, i, x):
 
 def _aggregate_row_cases(sec4):
     """(cfg, profile): sec4's boundary profiles, seeded random games, sec4
-    tiled to 160 sensors, sensor 3's cap at its circuit power with r_3 > 0 and
-    r_3 = 0, and NaN rates."""
+    tiled to 160 sensors, and sensor 3's cap at its circuit power with r_3 > 0
+    and r_3 = 0.  A profile is finite, as the API edge checks."""
     rng = np.random.default_rng(41)
     cases = [(sec4, r) for r in _boundary_profiles(sec4, rng, 30)]
     for _ in range(30):
@@ -984,7 +1042,6 @@ def _aggregate_row_cases(sec4):
     capped = replace(sec4, sensors=[replace(stuck, max_received_power=stuck.circuit_power)
                                     if k == 3 else s for k, s in enumerate(sec4.sensors)])
     cases += [(capped, np.full(10, 0.1)), (capped, _with_entry(np.full(10, 0.1), 3, 0.0))]
-    cases += [(sec4, _with_entry(np.full(10, 0.1), 6, np.nan))]
     return cases
 
 
