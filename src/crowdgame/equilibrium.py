@@ -80,6 +80,8 @@ from .model import (  # noqa: F401
     _Aggregates,
     _as_profile,
     _as_rates,
+    _check_count,
+    _check_nonnegative,
     _check_sensor_id,
     _curvatures,
     _fees_all,
@@ -133,20 +135,6 @@ class DegenerateConfig(ValueError):
     def __init__(self, sensor: int):
         super().__init__(f"sensor {sensor}: no infeasible upper rate found; config degenerate")
         self.sensor = sensor
-
-
-def _check_nonnegative(value: float, name: str):
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name}: {_NOT_BOOL}")
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and >= 0")
-
-
-def _check_count(value, name: str, least: int):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}")
 
 
 @dataclass
@@ -622,13 +610,16 @@ def check_existence(
     Raises:
         InfeasibilityError: the region's lower corner is already infeasible,
             hence the whole region is.
-        ValueError: a bad region or count, or fewer than `samples` feasible
-            points among the first 200 * samples.
+        ValueError: a bad count or region (one not a pair, too), or fewer
+            than `samples` feasible points among the first 200 * samples.
     """
+    try:
+        low, high = region
+    except (TypeError, ValueError):
+        raise ValueError(f"region must be a (lower, upper) pair, not {region!r}") from None
     _check_count(samples, "samples", 1)
     n = cfg.n_sensors
-    lower = np.broadcast_to(np.asarray(region[0], dtype=float), (n,)).copy()
-    upper = np.broadcast_to(np.asarray(region[1], dtype=float), (n,)).copy()
+    lower, upper = (np.broadcast_to(np.asarray(v, dtype=float), (n,)).copy() for v in (low, high))
     if not (np.all(lower > 0) and np.all(upper >= lower)):    # NaN fails too
         raise ValueError("region must satisfy 0 < lower <= upper")
     if not np.all(np.isfinite(upper)):
@@ -694,13 +685,9 @@ def _foc_hessian(r: np.ndarray, cfg: GameConfig, terms=None) -> np.ndarray:
 
 
 def _foc_residual(r: np.ndarray, cfg: GameConfig, min_rate: float):
-    """(residual, gradient, free sensors) of the first-order conditions at r."""
-    return _foc_state(r, cfg, min_rate)[:3]
-
-
-def _foc_state(r: np.ndarray, cfg: GameConfig, min_rate: float):
-    """_foc_residual at a profile r, and r's model._terms, which _foc_hessian
-    reads; at each row of a stack, with NaN gradients where a profile raises."""
+    """(residual, gradient, free sensors, model._terms) of the first-order
+    conditions at a profile r, the terms being what _foc_hessian reads; at
+    each row of a stack, with NaN gradients where a profile raises."""
     terms = _terms(r, cfg)
     g = _gradient(r, terms, cfg)
     free = (r > min_rate + 1e-14) | (g > 0.0)
@@ -709,18 +696,18 @@ def _foc_state(r: np.ndarray, cfg: GameConfig, min_rate: float):
 
 
 def _halving_states(cands: np.ndarray, cfg: GameConfig, min_rate: float):
-    """(k, _foc_state of cands[k]) of each feasible row of the line search's
-    halvings, in order, raising where _foc_state raises: one stacked pass
+    """(k, _foc_residual of cands[k]) of each feasible row of the line search's
+    halvings, in order, raising where _foc_residual raises: one stacked pass
     judges feasibility, the first _SEQUENTIAL_HALVINGS feasible rows are
-    evaluated one at a time, the rest in one stacked _foc_state, whose rows
+    evaluated one at a time, the rest in one stacked _foc_residual, whose rows
     give a profile's floats (model._terms)."""
     ks = np.flatnonzero(_invert(cands, cfg)[4]).tolist()
     for k in ks[:_SEQUENTIAL_HALVINGS]:
-        yield k, _foc_state(cands[k], cfg, min_rate)
+        yield k, _foc_residual(cands[k], cfg, min_rate)
     rest = ks[_SEQUENTIAL_HALVINGS:]
     if not rest:
         return
-    resid, g, free, (z, t, load, eps, rho) = _foc_state(cands[rest], cfg, min_rate)
+    resid, g, free, (z, t, load, eps, rho) = _foc_residual(cands[rest], cfg, min_rate)
     for q, k in enumerate(rest):
         if g[q, 0] != g[q, 0]:
             raise InfeasibleRates(float(load[q, 0]))
@@ -748,7 +735,7 @@ def _refine_newton(
     if float(r.sum()) <= 0.0 or not _profile_feasible(r, cfg):
         return r_start, 0, False
     used = 0
-    resid, g, free, terms = _foc_state(r, cfg, min_rate)
+    resid, g, free, terms = _foc_residual(r, cfg, min_rate)
     for _ in range(min(100, budget)):
         if resid < _FOC_TOL:
             return r, used, True

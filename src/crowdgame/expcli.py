@@ -30,7 +30,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from . import equilibrium, model, oracle
-from .equilibrium import SolverOptions, _check_count, _check_nonnegative
+from .equilibrium import SolverOptions
 from .model import BlockchainParams, GameConfig, InfeasibilityError, SensorParams
 
 EXIT_OK = 0
@@ -223,11 +223,11 @@ class ExperimentSpec:
         if self.command == "br-curve":
             if self.curve_sensor is None:
                 raise ConfigError("br-curve requires curve_sensor")
-            _check_count(self.curve_points, "points", 2)
+            model._check_count(self.curve_points, "points", 2)
         elif self.curve_sensor is not None:
             raise ConfigError("curve_sensor is only valid for br-curve")
-        _check_count(self.grid_points, "grid_points", 2)
-        _check_nonnegative(self.epsilon, "epsilon")
+        model._check_count(self.grid_points, "grid_points", 2)
+        model._check_nonnegative(self.epsilon, "epsilon")
 
 
 # ---------------------------------------------------------------------------

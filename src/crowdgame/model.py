@@ -36,15 +36,15 @@ inputs, Python floats for one sensor and arrays for a profile or a stack.
 Every evaluation calls it, the power-space utility too.  The one exception is
 `equilibrium._stationary_estimate`'s scalar Newton: NumPy made it 9x slower at n = 10.
 
-Own rows come in two forms.  A full-profile row (`_own_utilities`,
-`_own_gradients`) copies the profile with one entry replaced and runs
-`_invert` on it: the bits of one sensor's searches, of `verify` and of the
-grid oracle are those rows'.  An aggregate row (`_row_powers`,
-`_row_utilities`) reads one `_Aggregates` evaluation of the fixed profile
-(T_-i, R_-i and the largest other cap term) and costs O(1): the simultaneous
-steps read those, and they agree with the full rows to the rounding of the
-load margin 1 - T.  Every own-rate search reads its caller's evaluation.  The derivatives read one `_terms` evaluation, which a
-Newton iterate carries from its line search to its Jacobian.
+Own rows come in two forms.  A full-profile row copies the profile with one
+entry replaced and evaluates it whole (`_own_utilities` by `_invert`,
+`_own_gradients` by `_terms`): one sensor's searches, `verify` and the grid
+oracle read those.  An aggregate row (`_row_powers`, `_row_utilities`) reads
+one `_Aggregates` evaluation (T_-i, R_-i and the largest other cap term) and
+costs O(1): the simultaneous steps read those, and they agree with the full
+rows to the rounding of the load margin 1 - T.  Every own-rate search reads
+its caller's evaluation.  The derivatives read one `_terms` evaluation, the
+one array formula of 2^(-r/b), which a Newton iterate carries to its Jacobian.
 """
 
 from __future__ import annotations
@@ -101,6 +101,19 @@ def _require(cond: bool, name: str, msg: str):
         raise ValueError(f"{name}: {msg}")
 
 
+def _check_nonnegative(value: float, name: str):
+    _require(not isinstance(value, (bool, np.bool_)), name, _NOT_BOOL)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0")
+
+
+def _check_count(value, name: str, least: int):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 @dataclass(frozen=True)
 class SensorParams:
     """Physical and economic constants of one sensor."""
@@ -153,7 +166,7 @@ class BlockchainParams:
         _require(math.isfinite(m * m), "compute_coeff", "m^2 overflows")
         _require(math.isfinite(self.quad_coeff * (m * m)), "quad_coeff", "a*m^2 overflows")
         _require(math.isfinite(self.lin_coeff * m), "lin_coeff", "b*m overflows")
-        _require(math.isfinite(blockchain_power(1.0, self)), "compute_coeff",
+        _require(math.isfinite(_bill(1.0, self)), "compute_coeff",
                  "the bill at total rate 1 overflows")
 
     @property
@@ -362,7 +375,13 @@ def invert_rates(rates: RateVector, cfg: GameConfig) -> tuple[PowerVector, RateI
 # ---------------------------------------------------------------------------
 
 def blockchain_power(total_rate: float, bc: BlockchainParams) -> float:
-    """Power bill of the blockchain at a given total admitted rate."""
+    """Power bill of the blockchain at a total admitted rate, finite and >= 0."""
+    _check_nonnegative(total_rate, "total_rate")
+    return _bill(total_rate, bc)
+
+
+def _bill(total_rate, bc: BlockchainParams):
+    """blockchain_power of a float or of each entry of an array, unchecked."""
     x = bc.compute_coeff * total_rate
     return bc.quad_coeff * x * x + bc.lin_coeff * x + bc.const_coeff
 
@@ -382,12 +401,13 @@ def transaction_fee(i: int, rates: RateVector, cfg: GameConfig) -> float:
 def _fee(own, total, cfg: GameConfig):
     """own/total of the blockchain bill; 0 at a zero total, whose rates are all 0."""
     safe = _where(total > 0.0, total, 1.0)
-    return own / safe * blockchain_power(safe, cfg.blockchain)
+    return own / safe * _bill(safe, cfg.blockchain)
 
 
 def wpt_cost(i: int, p_i: float, cfg: GameConfig) -> float:
-    """Charging cost phi * p_i * (d^t_i)^eta for sensor i."""
+    """Charging cost phi * p_i * (d^t_i)^eta for sensor i, p_i finite and >= 0."""
     _check_sensor_id(i, cfg)
+    _check_nonnegative(p_i, "p_i")
     return float(cfg.wpt_factors[i]) * p_i
 
 
@@ -467,8 +487,6 @@ class _Aggregates:
     @cached_property
     def cap_terms(self) -> np.ndarray:
         t, room = self.t, self.cfg.power_rooms
-        if room.all():
-            return t * self.cfg.noise_pathloss / room
         return np.divide(t * self.cfg.noise_pathloss, room,
                          out=np.where(t > 0.0, np.inf, 0.0), where=room > 0.0)
 
@@ -585,13 +603,10 @@ def _own_gradients(i: int, r: np.ndarray, x: np.ndarray, cfg: GameConfig) -> np.
     full-profile rows; NaN where gradient_all raises.  Never raises."""
     g = np.empty(x.size)
     for q, Q in _own_rows(r, i, x):
-        z = np.exp2(-(Q / cfg.bandwidths))
-        t = 1.0 - z
-        load = t.sum(axis=1)
-        ok = load < 1.0 - DEFAULT_FEASIBILITY_MARGIN
-        eps = np.where(ok, 1.0 - load, 1.0)
-        g[q] = np.where(ok, _own_gradient(i, x[q], z[:, i], t[:, i], eps, Q.sum(axis=1), cfg),
-                        np.nan)
+        z, t, load, eps, rho = _terms(Q, cfg)
+        ok = load[:, 0] < 1.0 - DEFAULT_FEASIBILITY_MARGIN
+        eps = np.where(ok, eps[:, 0], 1.0)
+        g[q] = np.where(ok, _own_gradient(i, x[q], z[:, i], t[:, i], eps, rho[:, 0], cfg), np.nan)
     return g
 
 

@@ -18,9 +18,10 @@ import math
 import numpy as np
 
 from .equilibrium import (DEFAULT_MIN_RATE, DegenerateConfig, EmptyFeasibleInterval,
-                          _check_count, _check_nonnegative, _full_profile, _interval_search)
-from .model import (GameConfig, InfeasibilityError, RateVector, _as_profile, _check_sensor_id,
-                    _utility_along, _with_entry, utility_rate_space)
+                          _full_profile, _interval_search)
+from .model import (GameConfig, InfeasibilityError, RateVector, _as_profile, _check_count,
+                    _check_nonnegative, _check_sensor_id, _utility_along, _with_entry,
+                    utility_rate_space)
 
 
 def scalar_rate(i: int, powers, cfg: GameConfig) -> float:

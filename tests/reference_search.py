@@ -150,7 +150,7 @@ def refine_newton(r_start: np.ndarray, cfg, min_rate: float, budget: int,
     if float(r.sum()) <= 0.0 or not _feasible(r, cfg):
         return r_start, 0, False
     used = 0
-    resid, g, free = _foc_residual(r, cfg, min_rate)
+    resid, g, free, _ = _foc_residual(r, cfg, min_rate)
     for _ in range(min(100, budget)):
         if resid < _FOC_TOL:
             return r, used, True
@@ -169,7 +169,7 @@ def refine_newton(r_start: np.ndarray, cfg, min_rate: float, budget: int,
             cand = np.maximum(r + s * direction, min_rate)
             feasible = _feasible(cand, cfg)
             if feasible:
-                rc, gc, fc = _foc_residual(cand, cfg, min_rate)
+                rc, gc, fc, _ = _foc_residual(cand, cfg, min_rate)
                 if rc < resid * (1.0 - 0.25 * s) or rc < _FOC_TOL:
                     r, resid, g, free = cand, rc, gc, fc
                     improved = True

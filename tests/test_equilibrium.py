@@ -165,6 +165,11 @@ def test_check_existence_rejects_bad_arguments(sec4_cfg):
         check_existence(sec4_cfg, region=(0.1, 0.5), samples=0)
     with pytest.raises(ValueError):
         check_existence(sec4_cfg, region=(0.5, 0.1), samples=5)
+    # (0.1,) raised IndexError, 0.3 TypeError, and the triple dropped 0.9;
+    # samples=0 shows the shape is checked first
+    for region in [(0.1,), 0.3, np.array(0.3), (0.1, 0.5, 0.9)]:
+        with pytest.raises(ValueError, match=r"region must be a \(lower, upper\) pair"):
+            check_existence(sec4_cfg, region=region, samples=0)
 
 
 # ---------------------------------------------------------------------------

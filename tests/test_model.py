@@ -301,6 +301,16 @@ def test_blockchain_power_degenerate_coeffs():
         assert blockchain_power(x, bc) == 0.7
 
 
+_BAD_SCALARS = [math.nan, math.inf, -math.inf, -1.0, True, np.True_]
+
+
+@pytest.mark.parametrize("bad", _BAD_SCALARS)
+def test_blockchain_power_rejects_a_bad_total_rate(bad):
+    # -1.0 gave 0.7 and nan gave nan
+    with pytest.raises(ValueError, match="total_rate"):
+        blockchain_power(bad, BlockchainParams(0.0, 0.0, 0.7, 2.0))
+
+
 def test_transaction_fee_two_sensors():
     cfg = make_config([make_sensor(), make_sensor()])
     # p_b(2) = 0.1*36 + 0.1*6 + 0.1 = 4.3, split evenly
@@ -364,6 +374,13 @@ def test_wpt_cost_worked_example():
 def test_wpt_cost_degenerate_exponent():
     cfg = make_config([make_sensor(beacon_distance=5.0)], wpt_path_loss_exp=0.0)
     assert wpt_cost(0, 3.0, cfg) == pytest.approx(0.01 * 3.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("bad", _BAD_SCALARS)
+def test_wpt_cost_rejects_a_bad_power(sec4_cfg, bad):
+    # nan gave nan, -1.0 gave -0.01002 and True gave 0.01002
+    with pytest.raises(ValueError, match="p_i"):
+        wpt_cost(0, bad, sec4_cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ def test_traced_solve_and_verify_see_every_layer(sec4_cfg):
     for layer in (
         "equilibrium.sweep",
         "equilibrium.newton",
+        "equilibrium.foc_residual",
         "equilibrium.best_response",
         "equilibrium.verify_epsilon_ne",
     ):
