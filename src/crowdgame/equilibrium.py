@@ -40,8 +40,9 @@ full-profile rows: verify runs `_best_responses` per sensor on the oracle's
 grid, so its worst gain is never below the oracle's, and Gauss-Seidel keeps
 the replayed searches, whose floats `solve`, `sweep` and `br-curve` print.
 A Newton iterate is evaluated once: the line search's evaluation of the
-accepted candidate builds the next Jacobian.  The line search evaluates its
-first two feasible halvings one at a time and the rest in one stacked pass.
+accepted candidate builds the next Jacobian.  The line search is the literal
+halving loop, one profile a halving; it stops at the first candidate that
+rounds back to the iterate, as every smaller halving would.
 
 The best response's golden section and derivative-sign bisection are
 replayed by speculation: the literal loop on kernel values read from a table
@@ -74,7 +75,6 @@ from .model import (  # noqa: F401
     EquilibriumResult,
     GameConfig,
     InfeasibilityError,
-    InfeasibleRates,
     _NOT_BOOL,
     _STACK_SIZE,
     _Aggregates,
@@ -106,14 +106,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_WIDTH = 1e-10       # target bracket width of the golden-section stage
 _COARSE_GRID = 64           # bracketing grid points in best_response
 _FOC_TOL = 1e-11            # target residual of the Newton refinement
-_HALVINGS = 0.5 ** np.arange(47)    # Newton line-search steps: 2^-k above 1e-14
 _REFINE_RETRY = 50          # dynamics iterations between refinement attempts
 _DOUBLINGS = 200            # interval search doublings before it calls a config degenerate
 _GOLDEN_TAIL = 4            # last golden-section steps speculated on both sections
-# feasible halvings a Newton line search evaluates one at a time before it
-# stacks the rest: of 797 sec4-family line searches, 772 read at most two and
-# 17 read all 47, stalled at the residual's floating-point floor
-_SEQUENTIAL_HALVINGS = 2
 
 Method = Literal["gauss_seidel_br", "jacobi_br", "gradient_ascent"]
 _METHODS = ("gauss_seidel_br", "jacobi_br", "gradient_ascent")
@@ -610,8 +605,9 @@ def check_existence(
     Raises:
         InfeasibilityError: the region's lower corner is already infeasible,
             hence the whole region is.
-        ValueError: a bad count or region (one not a pair, too), or fewer
-            than `samples` feasible points among the first 200 * samples.
+        ValueError: a bad count or region (one not a pair, or a bound neither
+            a scalar nor n values, too), or fewer than `samples` feasible
+            points among the first 200 * samples.
     """
     try:
         low, high = region
@@ -619,7 +615,13 @@ def check_existence(
         raise ValueError(f"region must be a (lower, upper) pair, not {region!r}") from None
     _check_count(samples, "samples", 1)
     n = cfg.n_sensors
-    lower, upper = (np.broadcast_to(np.asarray(v, dtype=float), (n,)).copy() for v in (low, high))
+    bounds = [np.asarray(v, dtype=float) for v in (low, high)]
+    for v in bounds:
+        if v.shape not in ((), (n,)):
+            raise ValueError(
+                f"each region bound must be a scalar or {n} values, not shape {v.shape}"
+            )
+    lower, upper = (np.broadcast_to(v, (n,)).copy() for v in bounds)
     if not (np.all(lower > 0) and np.all(upper >= lower)):    # NaN fails too
         raise ValueError("region must satisfy 0 < lower <= upper")
     if not np.all(np.isfinite(upper)):
@@ -686,33 +688,13 @@ def _foc_hessian(r: np.ndarray, cfg: GameConfig, terms=None) -> np.ndarray:
 
 def _foc_residual(r: np.ndarray, cfg: GameConfig, min_rate: float):
     """(residual, gradient, free sensors, model._terms) of the first-order
-    conditions at a profile r, the terms being what _foc_hessian reads; at
-    each row of a stack, with NaN gradients where a profile raises."""
+    conditions at a profile r, the terms being what _foc_hessian reads;
+    raises where the gradient does."""
     terms = _terms(r, cfg)
     g = _gradient(r, terms, cfg)
     free = (r > min_rate + 1e-14) | (g > 0.0)
-    resid = np.abs(np.where(free, g, 0.0)).max(axis=-1)     # 0 where nothing is free
-    return (float(resid) if r.ndim == 1 else resid), g, free, terms
-
-
-def _halving_states(cands: np.ndarray, cfg: GameConfig, min_rate: float):
-    """(k, _foc_residual of cands[k]) of each feasible row of the line search's
-    halvings, in order, raising where _foc_residual raises: one stacked pass
-    judges feasibility, the first _SEQUENTIAL_HALVINGS feasible rows are
-    evaluated one at a time, the rest in one stacked _foc_residual, whose rows
-    give a profile's floats (model._terms)."""
-    ks = np.flatnonzero(_invert(cands, cfg)[4]).tolist()
-    for k in ks[:_SEQUENTIAL_HALVINGS]:
-        yield k, _foc_residual(cands[k], cfg, min_rate)
-    rest = ks[_SEQUENTIAL_HALVINGS:]
-    if not rest:
-        return
-    resid, g, free, (z, t, load, eps, rho) = _foc_residual(cands[rest], cfg, min_rate)
-    for q, k in enumerate(rest):
-        if g[q, 0] != g[q, 0]:
-            raise InfeasibleRates(float(load[q, 0]))
-        terms = z[q], t[q], float(load[q, 0]), float(eps[q, 0]), float(rho[q, 0])
-        yield k, (float(resid[q]), g[q], free[q], terms)
+    resid = float(np.abs(np.where(free, g, 0.0)).max())     # 0 where nothing is free
+    return resid, g, free, terms
 
 
 def _refine_newton(
@@ -725,11 +707,14 @@ def _refine_newton(
 
     Moves along the Newton direction of the free sensors (those off the
     min_rate bound or pushing away from it), backtracking until the candidate
-    is feasible and shrinks the first-order residual (_halving_states).  The
-    accepted candidate's evaluation, its _terms and gradient, builds the next
-    step's Jacobian; where every sensor is free, the Jacobian is solved as it
-    is.  Returns the best iterate found, the iterations spent, and whether
-    the residual is small enough to be worth a fixed-point verification.
+    is feasible and shrinks the first-order residual: s = 1, 1/2, ... while
+    s > 1e-14, evaluating each feasible candidate.  A candidate equal to the
+    iterate r ends the search: it has r's residual, which fails the test, and
+    every smaller halving rounds back to r too.  The accepted candidate's
+    evaluation, its _terms and gradient, builds the next step's Jacobian;
+    where every sensor is free, the Jacobian is solved as it is.  Returns the
+    best iterate found, the iterations spent, and whether the residual is
+    small enough to be worth a fixed-point verification.
     """
     r = np.maximum(r_start.copy(), min_rate)
     if float(r.sum()) <= 0.0 or not _profile_feasible(r, cfg):
@@ -750,13 +735,18 @@ def _refine_newton(
                 direction[idx] = np.linalg.solve(H[np.ix_(idx, idx)], -g[idx])
         except np.linalg.LinAlgError:
             return r, used, False
-        cands = np.maximum(r + _HALVINGS[:, None] * direction, min_rate)
-        for k, (rc, gc, fc, tc) in _halving_states(cands, cfg, min_rate):
-            if rc < resid * (1.0 - 0.25 * _HALVINGS[k]) or rc < _FOC_TOL:
-                r, resid, g, free, terms = cands[k].copy(), rc, gc, fc, tc
-                break
-        else:
-            # stalled at the floating-point floor of the residual
+        s = 1.0
+        while s > 1e-14:
+            cand = np.maximum(r + s * direction, min_rate)
+            if np.array_equal(cand, r):
+                break       # so is every later halving, and r fails the test
+            if _profile_feasible(cand, cfg):
+                rc, gc, fc, tc = _foc_residual(cand, cfg, min_rate)
+                if rc < resid * (1.0 - 0.25 * s) or rc < _FOC_TOL:
+                    r, resid, g, free, terms = cand, rc, gc, fc, tc
+                    break
+            s *= 0.5
+        if r is not cand:       # none accepted: stalled at the residual's floating-point floor
             return r, used, resid < 1e-6
     return r, used, resid < 1e-6
 

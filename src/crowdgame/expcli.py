@@ -254,8 +254,11 @@ def _emit(spec: ExperimentSpec, header: list[str], rows, footer: str | None = No
 def _write(spec: ExperimentSpec, text: str, echo: bool):
     """Write text to --out if given; to stdout as well when echo is set."""
     if spec.output_path:
-        with open(spec.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(spec.output_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ConfigError(f"cannot write {spec.output_path!r}: {e}") from e
     if echo or not spec.output_path:
         sys.stdout.write(text)
 

@@ -553,16 +553,11 @@ def gradient_all(r: np.ndarray, cfg: GameConfig) -> np.ndarray:
 
 
 def _gradient(r: np.ndarray, terms, cfg: GameConfig) -> np.ndarray:
-    """gradient_all at a profile r from its _terms, raising as it does, or at
-    each row of a stack, NaN where that row would raise."""
+    """gradient_all at a profile r from its _terms, raising as it does."""
     z, t, load, eps, rho = terms
-    if r.ndim == 1:
-        if load >= 1.0 - DEFAULT_FEASIBILITY_MARGIN:
-            raise InfeasibleRates(load)
-        return _own_gradient(slice(None), r, z, t, eps, rho, cfg)
-    inside = load < 1.0 - DEFAULT_FEASIBILITY_MARGIN
-    g = _own_gradient(slice(None), r, z, t, np.where(inside, eps, 1.0), rho, cfg)
-    return np.where(inside, g, np.nan)
+    if load >= 1.0 - DEFAULT_FEASIBILITY_MARGIN:
+        raise InfeasibleRates(load)
+    return _own_gradient(slice(None), r, z, t, eps, rho, cfg)
 
 
 def _terms(R: np.ndarray, cfg: GameConfig):

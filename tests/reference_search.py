@@ -145,7 +145,8 @@ def refine_newton(r_start: np.ndarray, cfg, min_rate: float, budget: int,
     """equilibrium._refine_newton with its line search as the literal halving
     loop: s = 1, 1/2, ... while s > 1e-14, one feasibility probe per halving,
     and the residual test at each feasible one.  `halvings`, if given,
-    collects (step, s, feasible, accepted) for every probe."""
+    collects (step, s, feasible, accepted, at_iterate) for every probe,
+    at_iterate being whether the candidate equals the iterate."""
     r = np.maximum(r_start.copy(), min_rate)
     if float(r.sum()) <= 0.0 or not _feasible(r, cfg):
         return r_start, 0, False
@@ -167,6 +168,7 @@ def refine_newton(r_start: np.ndarray, cfg, min_rate: float, budget: int,
         improved = False
         while s > 1e-14:
             cand = np.maximum(r + s * direction, min_rate)
+            at_iterate = np.array_equal(cand, r)
             feasible = _feasible(cand, cfg)
             if feasible:
                 rc, gc, fc, _ = _foc_residual(cand, cfg, min_rate)
@@ -174,7 +176,7 @@ def refine_newton(r_start: np.ndarray, cfg, min_rate: float, budget: int,
                     r, resid, g, free = cand, rc, gc, fc
                     improved = True
             if halvings is not None:
-                halvings.append((used, s, feasible, improved))
+                halvings.append((used, s, feasible, improved, at_iterate))
             if improved:
                 break
             s *= 0.5

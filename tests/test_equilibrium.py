@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import time
 from dataclasses import replace
 
@@ -170,6 +171,12 @@ def test_check_existence_rejects_bad_arguments(sec4_cfg):
     for region in [(0.1,), 0.3, np.array(0.3), (0.1, 0.5, 0.9)]:
         with pytest.raises(ValueError, match=r"region must be a \(lower, upper\) pair"):
             check_existence(sec4_cfg, region=region, samples=0)
+    # a bound of another shape raised NumPy's broadcasting error
+    for shape in [(3,), (2, 10)]:
+        for region in [(np.full(shape, 0.1), 0.5), (0.1, np.full(shape, 0.5))]:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"each region bound must be a scalar or 10 values, not shape {shape}")):
+                check_existence(sec4_cfg, region=region, samples=5)
 
 
 # ---------------------------------------------------------------------------

@@ -307,6 +307,14 @@ def test_solve_csv_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_an_unwritable_out_exits_3_naming_the_path(tmp_path, capsys, command):
+    out = str(tmp_path / "missing" / "out.txt")
+    argv = [command, "--config", str(SEC4_CONFIG_PATH), "--out", out]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {out!r}: ")
+
+
 def test_sweep_records_failures_in_row(tmp_path):
     cfg_path = write_doc(tmp_path, SINGLE_DOC)
     out = tmp_path / "sweep.csv"

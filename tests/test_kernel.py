@@ -1193,17 +1193,24 @@ def newton_calls(sec4_cfg):
     return calls
 
 
-def _halving_kinds(call):
-    """The kind of each Newton step of ref.refine_newton on call: 'none
-    feasible', 'first fails' (the first feasible halving fails the residual
-    test) or 'first passes'."""
+def _halving_log(call):
+    """ref.refine_newton's (step, s, feasible, accepted, at_iterate) probes on
+    call, grouped by Newton step."""
     log = []
     used = ref.refine_newton(*call, halvings=log)[1]
-    kinds = {}
-    for step, _, feasible, accepted in log:
-        if feasible and step not in kinds:
-            kinds[step] = "first passes" if accepted else "first fails"
-    return [kinds.get(step, "none feasible") for step in range(1, used + 1)]
+    return [[h for h in log if h[0] == step] for step in range(1, used + 1)]
+
+
+def _halving_kinds(call):
+    """The kind of each Newton step of ref.refine_newton on call: 'none
+    feasible', 'first passes' (the first feasible halving passes the residual
+    test), 'first fails' (a later one passes) or 'none passes'."""
+    kinds = []
+    for probes in _halving_log(call):
+        passed = [accepted for _, _, feasible, accepted, _ in probes if feasible]
+        kinds.append("none feasible" if not passed else "first passes" if passed[0]
+                     else "first fails" if passed[-1] else "none passes")
+    return kinds
 
 
 def _pinned(call):
@@ -1214,32 +1221,46 @@ def _pinned(call):
 
 
 def test_newton_line_search_equals_the_halving_loop(newton_calls):
-    s, loop = 1.0, []
-    while s > 1e-14:            # the loop's steps, which one stacked pass judges
-        loop.append(s)
-        s *= 0.5
-    assert equilibrium._HALVINGS.tolist() == loop
     kinds = []
     for call in newton_calls:
         rates, used, _ = _pinned(call)
-        assert used == 0 or rates.base is None      # an owned array, not a stack row
+        assert used == 0 or rates.base is None      # an owned array, not a view
         kinds += _halving_kinds(call)
     assert len(newton_calls) == 6 and len(kinds) > 60     # 76 Newton steps
-    assert {"none feasible", "first fails", "first passes"} <= set(kinds)
+    # 'none passes' steps stop where a halving rounds back to the iterate
+    assert {"none feasible", "first fails", "first passes", "none passes"} <= set(kinds)
 
 
-def test_newton_with_every_halving_stacked_equals_the_halving_loop(newton_calls, monkeypatch):
-    # the line search's stacked first-order pass gives a profile's floats:
-    # with no halving evaluated on its own, every call still equals the loop
-    monkeypatch.setattr(equilibrium, "_SEQUENTIAL_HALVINGS", 0)
+def test_a_stalled_newton_step_stops_at_the_first_halving_equal_to_the_iterate(
+        newton_calls, monkeypatch):
+    # it evaluates the iterate and each feasible halving before that one, not
+    # the 47 feasible halvings the literal loop reads to its end
+    evaluated, residual = [], equilibrium._foc_residual
+
+    def spy(r, *args):
+        evaluated[-1] += len(np.atleast_2d(r))      # profiles, a stack's rows too
+        return residual(r, *args)
+
+    monkeypatch.setattr(equilibrium, "_foc_residual", spy)
+    want = []
     for call in newton_calls:
-        _pinned(call)
+        r_start, cfg, m, _ = call
+        for step, probes in enumerate(_halving_log(call), 1):
+            if any(p[3] for p in probes) or not any(p[2] for p in probes):
+                continue
+            first = next(k for k, p in enumerate(probes) if p[4])
+            want.append(1 + sum(p[2] for p in probes[:first]))
+            before = ref.refine_newton(r_start, cfg, m, step - 1)[0]
+            evaluated.append(0)
+            rates, used, _ = _pinned((before, cfg, m, 1))
+            assert used == 1 and np.array_equal(rates, before)
+    assert evaluated == want == [5, 9, 5, 9]      # two at n = 10, two at n = 160
 
 
 def test_newton_raises_where_the_halving_loop_reads_an_infeasible_gradient(sec4_cfg, monkeypatch):
     # a wider margin for the gradient only, as in the best-response test: the
     # start lies inside it and the Newton step past it, so the literal loop
-    # raises at the step; one at a time or stacked, the line search does too
+    # raises at the step, and the line search does too
     start = solve(sec4_cfg).rates * 0.97
     default = model.DEFAULT_FEASIBILITY_MARGIN
     monkeypatch.setattr(model, "DEFAULT_FEASIBILITY_MARGIN", 1e-3)
@@ -1256,9 +1277,7 @@ def test_newton_raises_where_the_halving_loop_reads_an_infeasible_gradient(sec4_
     assert gradient_all(start, sec4_cfg).shape == (10,)
     want = _outcome(ref.refine_newton, start, sec4_cfg, 0.1, 20)
     assert want[0] is InfeasibleRates
-    for sequential in (2, 0):
-        monkeypatch.setattr(equilibrium, "_SEQUENTIAL_HALVINGS", sequential)
-        assert _outcome(equilibrium._refine_newton, start, sec4_cfg, 0.1, 20) == want
+    assert _outcome(equilibrium._refine_newton, start, sec4_cfg, 0.1, 20) == want
 
 
 @pytest.mark.parametrize("kind", ["none feasible", "first fails"])
