@@ -676,13 +676,15 @@ def check_existence(
 # Newton refinement on the joint first-order conditions
 # ---------------------------------------------------------------------------
 
-def _foc_hessian(r: np.ndarray, cfg: GameConfig, terms=None) -> np.ndarray:
-    """Analytic Jacobian H[i, j] = d(du_i/dr_i)/dr_j of the pseudo-gradient,
-    from r's model._terms where given; its diagonal is the own curvatures,
-    _curvatures(r, cfg)."""
-    d2u, a, tp, c, row = _jacobian_terms(r, cfg, terms)
+def _foc_hessian(r: np.ndarray, cfg: GameConfig, terms=None, free=slice(None)) -> np.ndarray:
+    """Analytic Jacobian H[i, j] = d(du_i/dr_i)/dr_j of the pseudo-gradient
+    over the sensors of the mask `free` (every sensor by default), from r's
+    model._terms where given.  Each entry is the full matrix's expression, so
+    a block equals the full matrix's rows and columns of `free`.  Its
+    diagonal is the own curvatures, _curvatures(r, cfg)."""
+    d2u, a, tp, c, row = (v[free] for v in _jacobian_terms(r, cfg, terms))
     H = -(a[:, None] * tp[None, :] * c[:, None]) - row[:, None]
-    H.flat[::r.size + 1] = d2u      # the diagonal
+    H.flat[::d2u.size + 1] = d2u        # the diagonal
     return H
 
 
@@ -711,10 +713,10 @@ def _refine_newton(
     s > 1e-14, evaluating each feasible candidate.  A candidate equal to the
     iterate r ends the search: it has r's residual, which fails the test, and
     every smaller halving rounds back to r too.  The accepted candidate's
-    evaluation, its _terms and gradient, builds the next step's Jacobian;
-    where every sensor is free, the Jacobian is solved as it is.  Returns the
-    best iterate found, the iterations spent, and whether the residual is
-    small enough to be worth a fixed-point verification.
+    evaluation, its _terms and gradient, builds the next step's Jacobian
+    block over the free sensors, one linear solve a step.  Returns the best
+    iterate found, the iterations spent, and whether the residual is small
+    enough to be worth a fixed-point verification.
     """
     r = np.maximum(r_start.copy(), min_rate)
     if float(r.sum()) <= 0.0 or not _profile_feasible(r, cfg):
@@ -725,14 +727,9 @@ def _refine_newton(
         if resid < _FOC_TOL:
             return r, used, True
         used += 1
-        H = _foc_hessian(r, cfg, terms)
+        direction = np.zeros(r.size)
         try:
-            if free.all():
-                direction = np.linalg.solve(H, -g)
-            else:
-                idx = np.flatnonzero(free)
-                direction = np.zeros_like(r)
-                direction[idx] = np.linalg.solve(H[np.ix_(idx, idx)], -g[idx])
+            direction[free] = np.linalg.solve(_foc_hessian(r, cfg, terms, free), -g[free])
         except np.linalg.LinAlgError:
             return r, used, False
         s = 1.0
@@ -747,7 +744,7 @@ def _refine_newton(
                     break
             s *= 0.5
         if r is not cand:       # none accepted: stalled at the residual's floating-point floor
-            return r, used, resid < 1e-6
+            break
     return r, used, resid < 1e-6
 
 

@@ -476,19 +476,15 @@ class _Aggregates:
     through T_-i, R_-i and the largest other cap term.  Sensor j's cap term
     t_j kappa_j s2/(cap_j - c_j) is <= 1 - T exactly where p_j <= cap_j; it is
     infinite where cap_j = c_j and t_j > 0.  r is finite and >= 0, as the API
-    edge checks; the cap arrays are made when first read."""
+    edge checks; the largest other cap term is made when first read."""
 
     def __init__(self, r: np.ndarray, cfg: GameConfig):
-        self.r, self.cfg = r, cfg
-        self.t = _load_shares(r, cfg.bandwidths)
-        self.load, self.total = float(self.t.sum()), float(r.sum())    # T, R
-        self.load_others, self.total_others = self.load - self.t, self.total - r   # T_-i, R_-i
-
-    @cached_property
-    def cap_terms(self) -> np.ndarray:
-        t, room = self.t, self.cfg.power_rooms
-        return np.divide(t * self.cfg.noise_pathloss, room,
-                         out=np.where(t > 0.0, np.inf, 0.0), where=room > 0.0)
+        self.r = r
+        self.t = t = _load_shares(r, cfg.bandwidths)
+        load, total = float(t.sum()), float(r.sum())    # T, R
+        self.load_others, self.total_others = load - t, total - r   # T_-i, R_-i
+        self.cap_terms = np.divide(t * cfg.noise_pathloss, cfg.power_rooms,
+                                   out=np.where(t > 0.0, np.inf, 0.0), where=cfg.power_rooms > 0.0)
 
     @cached_property
     def cap_others(self) -> np.ndarray:

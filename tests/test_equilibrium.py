@@ -539,7 +539,7 @@ def test_solve_stops_where_neither_dynamics_nor_refinement_can_start(
 
 
 def test_newton_stops_where_its_system_is_singular(sec4_cfg, monkeypatch):
-    monkeypatch.setattr(equilibrium, "_foc_hessian", lambda r, cfg, terms: np.zeros((10, 10)))
+    monkeypatch.setattr(equilibrium, "_foc_hessian", lambda r, cfg, terms, free: np.zeros((10, 10)))
     start = np.full(10, 0.2)
     r, used, worth_verifying = equilibrium._refine_newton(start, sec4_cfg, 0.1, 10)
     assert np.array_equal(r, start) and (used, worth_verifying) == (1, False)

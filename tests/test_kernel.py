@@ -1292,3 +1292,27 @@ def test_newton_steps_with_no_feasible_halving_or_a_failing_first_one(newton_cal
     rates, used, _ = _pinned(one)
     assert used == 1
     assert np.array_equal(rates, before) == (kind == "none feasible")
+
+
+def test_a_free_sets_jacobian_block_is_the_full_jacobians(sec4_cfg):
+    # the Newton step's block equals the full matrix's rows and columns of its
+    # free set under ==: on every iterate of the sec4 traces, at min_rate 0.1
+    # and at 0.3, where the dynamics pin sensors at the floor, and on
+    # _step_cases with every third sensor pinned at min_rate
+    cases = [(sec4_cfg, r, m) for method in equilibrium._METHODS for m in (0.1, 0.3)
+             for r in solve(sec4_cfg, SolverOptions(method=method, min_rate=m)).trace]
+    for cfg, r, m in _step_cases(sec4_cfg):
+        pinned = np.maximum(r, m)
+        pinned[::3] = m
+        cases.append((cfg, pinned, m))
+    partial = full = 0
+    for cfg, r, m in cases:
+        if not _profile_feasible(r, cfg):
+            continue
+        _, _, free, terms = equilibrium._foc_residual(r, cfg, m)
+        idx = np.flatnonzero(free)
+        block = _foc_hessian(r, cfg, terms, free)
+        assert np.array_equal(block, _foc_hessian(r, cfg, terms)[np.ix_(idx, idx)])
+        partial += 0 < idx.size < r.size
+        full += idx.size == r.size
+    assert partial >= 10 and full > 800     # 10 and 838
