@@ -34,11 +34,11 @@ form (`_interval_ends`), 1e-12 inside the boundary, checked in one pass of
 aggregate rows; an end that fails the check or lies past the search's last
 doubling falls back to the replayed search, so every method raises on a
 degenerate config.  `_best_responses` answers from the grid and the
-stationary point in each best cell, within 1e-12 of the exact maximizers,
-reading aggregate rows in a Jacobi step.  The one-sensor calls keep
-full-profile rows: verify runs `_best_responses` per sensor on the oracle's
-grid, so its worst gain is never below the oracle's, and Gauss-Seidel keeps
-the replayed searches, whose floats `solve`, `sweep` and `br-curve` print.
+stationary point in each best cell, within 1e-12 of the exact maximizers, on
+the rows its caller names: a Jacobi step's aggregate rows, or one sensor's
+full-profile rows in verify, whose grid is the oracle's, so its worst gain is
+never below the oracle's.  Gauss-Seidel keeps the replayed searches, whose
+floats `solve`, `sweep` and `br-curve` print.
 A Newton iterate is evaluated once: the line search's evaluation of the
 accepted candidate builds the next Jacobian.  The line search is the literal
 halving loop, one profile a halving; it stops at the first candidate that
@@ -294,8 +294,8 @@ def _stationary_estimate(
 ) -> float:
     """Closed-form x_hat of the root of sensor i's own gradient on [lo, hi],
     the others at the profile a.r: safeguarded Newton on model._own_gradient's
-    formula written in F = 1 - T_-i and R_-i; lo or hi where the gradient
-    keeps one sign."""
+    formula written in F = 1 - T_-i and R_-i, stopped where its step or its
+    bracket stops shrinking; lo or hi where the gradient keeps one sign."""
     bw, bc = float(cfg.bandwidths[i]), cfg.blockchain
     free = 1.0 - float(a.load_others[i])
     rest = float(a.total_others[i])
@@ -334,7 +334,9 @@ def _stationary_estimate(
         else:
             hi = x
         step = x - g / dg if dg < 0.0 else math.nan
-        if abs(step - x) <= 1e-15 * x:     # also where round-off puts it on an end
+        # the step also lands on an end by round-off; the bracket stops
+        # shrinking where the gradient's round-off makes Newton jitter
+        if abs(step - x) <= 1e-15 * x or hi - lo <= 2.0 * math.ulp(hi):
             break
         if not lo < step < hi:
             step = split(lo, hi)
@@ -342,21 +344,15 @@ def _stationary_estimate(
     return x
 
 
-def _best_responses(sensors: np.ndarray, a: _Aggregates, cfg: GameConfig,
-                    min_rate: float, ends: np.ndarray, points: int):
+def _best_responses(sensors: np.ndarray, a: _Aggregates, cfg: GameConfig, min_rate: float,
+                    ends: np.ndarray, points: int, utilities: Callable[[np.ndarray], np.ndarray]):
     """(rates, utilities) of the best responses of `sensors` to the profile
     a.r, sensors[q] on [min_rate, ends[q]]: a `points`-point grid,
     _stationary_estimate in its best cell, and the best of that root,
     min_rate, the end and the best grid point, the last three read from the
     grid (np.linspace keeps its ends exact); ties go to the smaller rate and a
-    NaN never wins.  One sensor (verify) reads full-profile rows, whose floats
-    the grid oracle's are; several (a Jacobi step) read aggregate rows."""
-
-    def utilities(x):       # x[q, :] are own rates of sensors[q]
-        if sensors.size == 1:
-            return _own_utilities(int(sensors[0]), a.r, x.ravel(), cfg).reshape(x.shape)
-        return _row_utilities(a, sensors[:, None], x, cfg)
-
+    NaN never wins.  utilities(x) are the caller's rows: sensors[q]'s utility
+    at each own rate x[q, :], NaN where infeasible."""
     grid = np.linspace(min_rate, ends, points, axis=1)
     u = utilities(grid)
     rows, k = np.arange(sensors.size), np.argmax(u, axis=1)
@@ -765,8 +761,8 @@ def _jacobi_step(r: np.ndarray, cfg: GameConfig, opts: SolverOptions) -> np.ndar
     """Every sensor's best response to r on its closed-form interval."""
     a = _Aggregates(r, cfg)
     ends = _interval_ends(a, cfg, opts.min_rate)
-    sensors = np.arange(cfg.n_sensors)
-    return _best_responses(sensors, a, cfg, opts.min_rate, ends, _COARSE_GRID)[0]
+    return _best_responses(np.arange(cfg.n_sensors), a, cfg, opts.min_rate, ends, _COARSE_GRID,
+                           lambda x: _row_utilities(a, (slice(None), None), x, cfg))[0]
 
 
 def _gradient_step(r: np.ndarray, cfg: GameConfig, opts: SolverOptions) -> np.ndarray:
@@ -907,7 +903,8 @@ def verify_epsilon_ne(
     r_star = np.asarray(r_star, dtype=float)
     base, a = _utilities_all(r_star, cfg), _Aggregates(r_star, cfg)
     best = [_best_responses(np.array([i]), a, cfg, min_rate,
-                            np.array([_bound_search(i, a, cfg, min_rate)]),
-                            grid_points)[1].item() for i in range(cfg.n_sensors)]
+                            np.array([_bound_search(i, a, cfg, min_rate)]), grid_points,
+                            lambda x: _own_utilities(i, r_star, x.ravel(), cfg)[None])[1].item()
+            for i in range(cfg.n_sensors)]
     worst = max(u - float(u0) for u, u0 in zip(best, base))   # the first of the largest
     return worst <= epsilon, worst

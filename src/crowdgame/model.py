@@ -36,15 +36,14 @@ inputs, Python floats for one sensor and arrays for a profile or a stack.
 Every evaluation calls it, the power-space utility too.  The one exception is
 `equilibrium._stationary_estimate`'s scalar Newton: NumPy made it 9x slower at n = 10.
 
-Own rows come in two forms.  A full-profile row copies the profile with one
-entry replaced and evaluates it whole (`_own_utilities` by `_invert`,
-`_own_gradients` by `_terms`): one sensor's searches, `verify` and the grid
-oracle read those.  An aggregate row (`_row_powers`, `_row_utilities`) reads
-one `_Aggregates` evaluation (T_-i, R_-i and the largest other cap term) and
-costs O(1): the simultaneous steps read those, and they agree with the full
-rows to the rounding of the load margin 1 - T.  Every own-rate search reads
-its caller's evaluation.  The derivatives read one `_terms` evaluation, the
-one array formula of 2^(-r/b), which a Newton iterate carries to its Jacobian.
+A full-profile own row copies the profile with one entry replaced and
+evaluates it whole (`_own_utilities` by `_invert`, `_own_gradients` by
+`_terms`).  An aggregate row (`_row_powers`, `_row_utilities`) reads one
+`_Aggregates` evaluation (T_-i, R_-i and the largest other cap term), costs
+O(1) and agrees with the full row to the rounding of the load margin 1 - T.
+Every own-rate search reads its caller's evaluation, on the rows its caller
+names.  The derivatives read one `_terms` evaluation, the one array formula
+of 2^(-r/b), which a Newton iterate carries to its Jacobian.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+import sys
 import time
 from dataclasses import replace
 
@@ -607,8 +608,45 @@ def test_the_stationary_estimate_finds_a_root_deep_in_a_wide_cell(sec4_cfg):
     x = equilibrium._stationary_estimate(0, at, cfg, *cell)
     assert x == pytest.approx(gs.rates[0], rel=1e-12)
     best, u = equilibrium._best_responses(np.array([0]), at, cfg, 0.1, np.array([end]),
-                                          equilibrium._COARSE_GRID)
+                                          equilibrium._COARSE_GRID,
+                                          lambda x: model._row_utilities(at, 0, x, cfg))
     assert best[0] == pytest.approx(gs.rates[0], rel=1e-12) and u[0] > 79.0
+
+
+def test_the_stationary_estimate_stops_where_its_bracket_stops_shrinking(sec4_cfg, monkeypatch):
+    # at the answers of the README's sweep the own gradient's round-off made
+    # Newton jitter to the 60-step cap, 62 gradient calls, in 12 of the 80
+    # calls of a Jacobi and a Gauss-Seidel step
+    mp = pytest.importorskip("mpmath")
+    cfgs = [replace(sec4_cfg, blockchain=replace(sec4_cfg.blockchain, compute_coeff=m))
+            for m in (2.4, 2.7, 3.0, 3.3)]
+    answers = [solve(cfg).rates for cfg in cfgs]
+    estimate, calls, roots = equilibrium._stationary_estimate, [], []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "grad":
+            calls[-1] += 1
+
+    def counted(i, at, cfg, lo, hi):
+        calls.append(0)
+        sys.setprofile(profile)
+        try:
+            x = estimate(i, at, cfg, lo, hi)
+        finally:
+            sys.setprofile(None)
+        roots.append((cfg, at.r, i, x))
+        return x
+
+    monkeypatch.setattr(equilibrium, "_stationary_estimate", counted)
+    for cfg, r in zip(cfgs, answers):
+        for step in (equilibrium._jacobi_step, equilibrium._gauss_seidel_step):
+            step(r, cfg, SolverOptions())
+    assert len(calls) == 80 and max(calls) <= 15, calls
+    with mp.workdps(50):    # each an interior root, within 1e-12 of 50 digits
+        for cfg, r, i, x in roots:
+            own = own_rate_50_digits(mp, cfg, r)(i)
+            root = mp.findroot(lambda t: own(t)[1], mp.mpf(x))
+            assert abs(x - root) <= 1e-12 * root, (i, x)
 
 
 def test_jacobi_converges_where_an_interval_spans_decades(sec4_cfg):

@@ -3,8 +3,9 @@
 Every comparison here is exact (`==` / `array_equal`): the kernel keeps the
 arithmetic of the reference inversion, and the stacked, exception-free
 searches must return the very floats of the reference searches.  The
-simultaneous steps run no search; they are checked against 50-digit
-maximizers and the feasibility boundary instead.
+simultaneous steps and the one-sensor array best response run no search;
+they are checked against 50-digit maximizers and the feasibility boundary
+instead.
 """
 
 import math
@@ -638,6 +639,63 @@ def test_a_far_off_stationary_estimate_changes_no_answer(hard_reference, monkeyp
     assert [_outcome(_best_response_full, i, r, cfg, m) for cfg, r, i, m in cases] == want
 
 
+def test_one_sensor_array_best_response_on_aggregate_rows_meets_50_digits(sec4_cfg):
+    # the call that can answer a Gauss-Seidel best response once the replay
+    # goes (ROADMAP item 1): one sensor, its _bound_search end, 64 points and
+    # aggregate rows; the replay's == pins above stay until then
+    mp = pytest.importorskip("mpmath")
+    cases = [(sec4_cfg, r, i, 0.1) for r in solve(sec4_cfg).trace for i in range(10)]
+    cases += _hard_search_cases(sec4_cfg)[::2]
+    counts = dict.fromkeys(("interior", "end", "low", "error"), 0)
+    for cfg, r, i, m in cases:
+        at = model._Aggregates(r, cfg)
+        end = _outcome(equilibrium._bound_search, i, at, cfg, m)
+        assert end == _outcome(rate_upper_bound, i, r, cfg, m)     # the float, or the error
+        if isinstance(end, tuple):
+            counts["error"] += 1
+            continue
+        rows = lambda x: model._row_utilities(at, i, x, cfg)
+        x = equilibrium._best_responses(np.array([i]), at, cfg, m, np.array([end]), 64,
+                                        rows)[0].item()
+        with mp.workdps(50):
+            own = own_rate_50_digits(mp, cfg, r)(i)
+            if m < x < end:     # the 50-digit maximizer, where the own gradient is 0
+                root = mp.findroot(lambda t: own(t)[1], mp.mpf(x))
+                assert abs(x - root) <= 1e-12 * root and abs(own(mp.mpf(x))[1]) <= 1e-9
+                counts["interior"] += 1
+            elif x == end:      # the utility still rises there
+                assert own(mp.mpf(x))[1] > 0.0
+                counts["end"] += 1
+            else:               # it falls from min_rate; at 0 without opponents, 0 wins
+                assert x == m and (m == 0.0 or own(mp.mpf(m))[1] < 0.0)
+                counts["low"] += 1
+    assert counts["interior"] > 400 and counts["error"] > 30
+    assert counts["end"] > 0 and counts["low"] > 0
+
+
+def test_the_gauss_seidel_replay_reads_its_evaluation_only_to_steer(sec4_cfg, monkeypatch):
+    # only a.r reaches the full-profile rows and the two interval probes, so
+    # estimates 1e-9 off move no float, and running aggregates (ROADMAP item
+    # 4(b)) can replace the evaluation without moving a byte
+    profiles = [r for method in equilibrium._METHODS
+                for r in solve(sec4_cfg, SolverOptions(method=method)).trace]
+    opts, probes, invert = SolverOptions(), [], equilibrium._invert
+
+    def steps():
+        return [_outcome(lambda: equilibrium._gauss_seidel_step(r, sec4_cfg, opts).tolist())
+                for r in profiles]
+
+    monkeypatch.setattr(equilibrium, "_invert", lambda *args: probes.append(1) or invert(*args))
+    want, replayed = steps(), len(probes)
+    for name in ("_rate_limit_estimate", "_stationary_estimate"):
+        estimate = getattr(equilibrium, name)
+        monkeypatch.setattr(equilibrium, name, lambda *args, f=estimate: f(*args) * (1.0 + 1e-9))
+    assert steps() == want
+    # most replays failed their probes, and the literal searches answered
+    assert len(profiles) > 20 and sum(isinstance(w, list) for w in want) > 20
+    assert len(probes) - replayed > 10 * replayed
+
+
 def _own_gradient(i, r, cfg):
     return gradient_all(r, cfg)[i]
 
@@ -887,8 +945,8 @@ def _verify_against_the_oracle(mp, cases, monkeypatch):
     answers = []        # each sensor's (sensor, rate, end, utility) in verify
     best_responses = equilibrium._best_responses
 
-    def recording(sensors, r, cfg, m, ends, points):
-        x, u = best_responses(sensors, r, cfg, m, ends, points)
+    def recording(sensors, r, cfg, m, ends, points, utilities):
+        x, u = best_responses(sensors, r, cfg, m, ends, points, utilities)
         answers.extend(zip(sensors.tolist(), x.tolist(), ends.tolist(), u.tolist()))
         return x, u
 
