@@ -15,9 +15,11 @@ at iteration refine_after, at once when a dynamics step raises or overshoots
 into the infeasible region, and 50 iterations after a refinement that did not
 certify, it refines the iterate by damped active-set Newton on the joint
 first-order conditions, whose root is the fixed point of all three dynamics.
-A `converged=True` result is certified: one application of the method's own
-update map moves it by less than `tol`.  With refine_after=0 the clock never
-starts, and the pure dynamics stop at the first step that raises or overshoots.
+A root where a free sensor's own curvature is >= 0 is no own maximum: the
+refinement then returns its start unverified.  A `converged=True` result is
+certified: one application of the method's own update map moves it by less
+than `tol`.  With refine_after=0 the clock never starts, and the pure
+dynamics stop at the first step that raises or overshoots.
 
 Every own-rate search reads its caller's evaluation of the profile
 (`model._Aggregates`): one a Gauss-Seidel best response, a simultaneous step,
@@ -49,14 +51,16 @@ replayed by speculation: the literal loop on kernel values read from a table
 (`_OwnRate`).  A miss evaluates the point and the path guessed from x_hat, the
 estimated stationary point, in one stacked call: g > 0 exactly left of x_hat,
 the inner point nearer x_hat wins, but both golden sections over the last
-_GOLDEN_TAIL steps, whose values differ by round-off.  One step function
-serves loop and guess; each decision reads the real value at the loop's own
-float, so a wrong guess costs a call, never a bit.  Without the golden tail,
-x_hat riding in its first call or the scan's grid seeding the table,
-sec4-family Gauss-Seidel solves take about 3%, 9% and 13% longer; a bisection
-tail saved about 1%.  Guesses stay in the bracket.  The polish runs first and
-passes its root to the golden section as x_hat; the golden section reads only
-the feasible [min_rate, rate_upper_bound], so the polish's error raises at once.
+_GOLDEN_TAIL steps, whose values differ by round-off.  Its widths are
+relative, times max(1, a): above 2^19 an ulp of a exceeds _GOLDEN_WIDTH.
+One step function serves loop and guess; each decision reads the real value
+at the loop's own float, so a wrong guess costs a call, never a bit.
+Without the golden tail, x_hat riding in its first call or the scan's grid
+seeding the table, sec4-family Gauss-Seidel solves take about 3%, 9% and 13%
+longer; a bisection tail saved about 1%.  Guesses stay in the bracket.  The
+polish runs first and passes its root to the golden section as x_hat; the
+golden section reads only the feasible [min_rate, rate_upper_bound], so the
+polish's error raises at once.
 """
 
 from __future__ import annotations
@@ -103,7 +107,7 @@ from .model import (  # noqa: F401
 DEFAULT_MIN_RATE = 0.1
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_WIDTH = 1e-10       # target bracket width of the golden-section stage
+_GOLDEN_WIDTH = 1e-10       # target bracket width of the golden-section stage, times max(1, a)
 _COARSE_GRID = 64           # bracketing grid points in best_response
 _FOC_TOL = 1e-11            # target residual of the Newton refinement
 _REFINE_RETRY = 50          # dynamics iterations between refinement attempts
@@ -428,15 +432,16 @@ def _golden_guess(a, b, x1, x2, x_hat) -> list:
     """The points the golden section reads after the bracket (a, b, x1, x2):
     the new point of the section whose inner point is nearer x_hat, of both
     sections from width _GOLDEN_WIDTH / _GOLDEN**_GOLDEN_TAIL on, and each
-    final bracket's midpoint."""
+    final bracket's midpoint; both widths relative, as in _golden_max."""
     points, stack, tail = [], [(a, b, x1, x2)], _GOLDEN_WIDTH / _GOLDEN**_GOLDEN_TAIL
     while stack:
         a, b, x1, x2 = stack.pop()
-        if b - a > tail:
+        scale = a if a > 1.0 else 1.0       # max(1.0, a), at a tenth of max()'s cost
+        if b - a > tail * scale:
             left = abs(x1 - x_hat) <= abs(x2 - x_hat)
             stack.append(_golden_step(a, b, x1, x2, left))
             points.append(stack[-1][2 if left else 3])
-        elif b - a > _GOLDEN_WIDTH:
+        elif b - a > _GOLDEN_WIDTH * scale:
             kept = _golden_step(a, b, x1, x2, True), _golden_step(a, b, x1, x2, False)
             points += kept[0][2], kept[1][3]
             stack += kept
@@ -457,14 +462,14 @@ def _bisect_guess(pa, pb, pm, x_hat) -> list:
 
 def _golden_max(p: _OwnRate, a: float, b: float, x_hat: float):
     """Golden-section maximization of p's utility from the bracket [a, b] down
-    to width _GOLDEN_WIDTH: (argmax, max) over the last bracket's ends and
-    midpoint.  Ties keep the left section and the smaller rate.  A miss
-    evaluates _golden_guess's points with it, and x_hat rides in the first."""
+    to width _GOLDEN_WIDTH * max(1, a): (argmax, max) over the last bracket's
+    ends and midpoint.  Ties keep the left section and the smaller rate.  A
+    miss evaluates _golden_guess's points with it, and x_hat rides in the first."""
     u = p.u
     x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     first = [x2, x_hat, *_golden_guess(a, b, x1, x2, x_hat)]
     f1, f2 = p.read(x1, first), p.read(x2, first)
-    while b - a > _GOLDEN_WIDTH:
+    while b - a > _GOLDEN_WIDTH * (a if a > 1.0 else 1.0):
         left = f1 >= f2
         a, b, x1, x2 = _golden_step(a, b, x1, x2, left)
         x = x1 if left else x2
@@ -503,10 +508,11 @@ def _best_response_full(
     """Utility-maximizing rate of sensor i against the full profile `rates`.
 
     Search contract: 64-point coarse grid to bracket the maximum, golden
-    section down to a 1e-10 bracket, then a derivative-sign bisection polish
-    inside the grid bracket.  The polish pins interior stationary points to
-    machine precision, which the downstream fixed-point solve needs.  Both
-    searches are replayed on one evaluation of `rates`; see the module docstring.
+    section down to a 1e-10 max(1, a) bracket, then a derivative-sign
+    bisection polish inside the grid bracket.  The polish pins interior
+    stationary points to machine precision, which the downstream fixed-point
+    solve needs.  Both searches are replayed on one evaluation of `rates`;
+    see the module docstring.
     """
     a = _Aggregates(_with_entry(rates, i, min_rate), cfg)
     hi = _bound_search(i, a, cfg, min_rate)
@@ -712,7 +718,9 @@ def _refine_newton(
     evaluation, its _terms and gradient, builds the next step's Jacobian
     block over the free sensors, one linear solve a step.  Returns the best
     iterate found, the iterations spent, and whether the residual is small
-    enough to be worth a fixed-point verification.
+    enough to be worth a fixed-point verification.  A root where a free
+    sensor's own curvature is >= 0 is no own maximum: Newton then returns
+    r_start unverified, so that no dynamics step starts at it either.
     """
     r = np.maximum(r_start.copy(), min_rate)
     if float(r.sum()) <= 0.0 or not _profile_feasible(r, cfg):
@@ -721,7 +729,7 @@ def _refine_newton(
     resid, g, free, terms = _foc_residual(r, cfg, min_rate)
     for _ in range(min(100, budget)):
         if resid < _FOC_TOL:
-            return r, used, True
+            break
         used += 1
         direction = np.zeros(r.size)
         try:
@@ -741,6 +749,8 @@ def _refine_newton(
             s *= 0.5
         if r is not cand:       # none accepted: stalled at the residual's floating-point floor
             break
+    if resid < 1e-6 and not (_jacobian_terms(r, cfg, terms)[0][free] < 0.0).all():
+        return r_start, used, False     # an own curvature >= 0: no own maximum
     return r, used, resid < 1e-6
 
 

@@ -24,10 +24,10 @@ power bill a*(m*R)^2 + b*(m*R) + c, where R is the total admitted rate.
 Everything in this module is a pure function of its arguments; GameConfig is
 treated as immutable after construction.
 
-One arithmetic: the private kernel `_invert` maps a profile (n,) or a stack
-(k, n) to powers, never raises and never evaluates gamma.  The solvers call it
-directly; the public wrappers validate their input and raise the typed errors
-after the kernel reports infeasibility, so every path gives the same bits.
+One arithmetic: `_sinr` is the one body of S, beta and p.  The private kernel
+`_invert` maps a profile (n,) or a stack (k, n) to powers by it, never raising
+or evaluating gamma.  The solvers call it directly; the public wrappers check
+input and raise the typed errors on its verdict: the same bits on every path.
 
 One formula per quantity: the fee (`_fee`), the utility (`_own_utility`) and
 the own gradient (`_own_gradient`) each have one body, taking a sensor
@@ -38,9 +38,9 @@ Every evaluation calls it, the power-space utility too.  The one exception is
 
 A full-profile own row copies the profile with one entry replaced and
 evaluates it whole (`_own_utilities` by `_invert`, `_own_gradients` by
-`_terms`).  An aggregate row (`_row_powers`, `_row_utilities`) reads one
-`_Aggregates` evaluation (T_-i, R_-i and the largest other cap term), costs
-O(1) and agrees with the full row to the rounding of the load margin 1 - T.
+`_terms`); an aggregate row (`_row_powers`, `_row_utilities`) costs O(1),
+reading T_-i, R_-i and the largest other cap term from one `_Aggregates`.
+The two differ only in how `_sinr`'s T is summed and agree to its rounding.
 Every own-rate search reads its caller's evaluation, on the rows its caller
 names.  The derivatives read one `_terms` evaluation, the one array formula
 of 2^(-r/b), which a Newton iterate carries to its Jacobian.
@@ -320,22 +320,24 @@ def _invert(r: np.ndarray, cfg: GameConfig):
     cap or a rate is NaN; one profile with infeasible load returns None for the arrays.
     """
     t = _load_shares(r, cfg.bandwidths)
-    s2 = cfg.noise_variance
+    c, k, s2 = cfg.circuit_powers, cfg.inv_gain_pathloss, cfg.noise_variance
     if r.ndim == 1:
         load = float(t.sum())
         if not load < 1.0 - DEFAULT_FEASIBILITY_MARGIN:
             return load, None, None, None, False
-        beta_sum = s2 * load / (1.0 - load)
-        beta = t * (beta_sum + s2)
-        p = cfg.circuit_powers + beta * cfg.inv_gain_pathloss
+        beta_sum, beta, p = _sinr(t, load, c, k, s2)
         return load, beta_sum, beta, p, bool((p <= cfg.power_caps).all())
     load = t.sum(axis=1)
     ok = load < 1.0 - DEFAULT_FEASIBILITY_MARGIN
-    safe = np.where(ok, load, 0.0)
-    beta_sum = s2 * safe / (1.0 - safe)
-    beta = t * (beta_sum + s2)[:, None]
-    p = cfg.circuit_powers + beta * cfg.inv_gain_pathloss
-    return load, beta_sum, beta, p, ok & (p <= cfg.power_caps).all(axis=1)
+    beta_sum, beta, p = _sinr(t, np.where(ok, load, 0.0)[:, None], c, k, s2)
+    return load, beta_sum[:, 0], beta, p, ok & (p <= cfg.power_caps).all(axis=1)
+
+
+def _sinr(t, load, c, k, s2):
+    """The module docstring's (S, beta, p) at shares t, load T, k = d^alpha/g, s2 = sigma^2."""
+    beta_sum = s2 * load / (1.0 - load)
+    beta = t * (beta_sum + s2)
+    return beta_sum, beta, c + beta * k
 
 
 def _as_rates(values, cfg: GameConfig) -> np.ndarray:
@@ -498,7 +500,7 @@ class _Aggregates:
 
 def _row_powers(a: _Aggregates, i, x: np.ndarray, cfg: GameConfig):
     """(p, ok, total) of the rows of the profile a.r with entry i set to x, in
-    O(1) a row: sensor i's power by _invert's formula on the load T_-i + t(x),
+    O(1) a row: sensor i's power by _sinr on the load T_-i + t(x),
     the verdict of _invert (the load, i's cap and the largest other cap term)
     and the total rate.  i indexes the per-sensor arrays so that the result
     broadcasts against x: one sensor, an index array, or (slice(None), None)
@@ -507,9 +509,7 @@ def _row_powers(a: _Aggregates, i, x: np.ndarray, cfg: GameConfig):
     load = a.load_others[i] + t
     ok = load < 1.0 - DEFAULT_FEASIBILITY_MARGIN
     safe = np.where(ok, load, 0.0)
-    s2 = cfg.noise_variance
-    beta_sum = s2 * safe / (1.0 - safe)
-    p = cfg.circuit_powers[i] + t * (beta_sum + s2) * cfg.inv_gain_pathloss[i]
+    _, _, p = _sinr(t, safe, cfg.circuit_powers[i], cfg.inv_gain_pathloss[i], cfg.noise_variance)
     ok &= (p <= cfg.power_caps[i]) & (a.cap_others[i] <= 1.0 - safe)
     return p, ok, a.total_others[i] + x
 

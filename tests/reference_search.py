@@ -186,11 +186,12 @@ def refine_newton(r_start: np.ndarray, cfg, min_rate: float, budget: int,
 
 
 def golden_max(f, a: float, b: float) -> tuple[float, float]:
-    """The sequential golden section: one probe per step, ties to the left."""
+    """The sequential golden section: one probe per step, ties to the left,
+    down to width _GOLDEN_WIDTH * max(1, a)."""
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > _GOLDEN_WIDTH:
+    while b - a > _GOLDEN_WIDTH * max(1.0, a):
         if f1 >= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)

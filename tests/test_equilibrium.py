@@ -1,6 +1,8 @@
+import contextlib
 import functools
 import math
 import re
+import signal
 import sys
 import time
 from dataclasses import replace
@@ -668,6 +670,86 @@ def test_jacobi_converges_from_a_zero_floor_where_an_interval_spans_decades(sec4
     jacobi = solve(cfg, SolverOptions(method="jacobi_br", min_rate=0.0, max_iter=50))
     assert ascent.converged and jacobi.converged
     assert abs(jacobi.rates[0] - ascent.rates[0]) <= 1e-8
+
+
+def test_the_stationary_estimate_reads_a_bracket_past_the_load_limit(sec4_cfg):
+    # on [0.1, 3 end] the load T passes 1, where the own gradient reads -inf;
+    # no other test reaches that return
+    r = np.full(10, 0.2)
+    at = model._Aggregates(model._with_entry(r, 1, 0.1), sec4_cfg)
+    end = rate_upper_bound(1, r, sec4_cfg, 0.1)
+    assert model._invert(model._with_entry(r, 1, 3.0 * end), sec4_cfg)[0] > 1.0
+    wide = equilibrium._stationary_estimate(1, at, sec4_cfg, 0.1, 3.0 * end)
+    x = equilibrium._stationary_estimate(1, at, sec4_cfg, 0.1, end)
+    assert abs(wide - x) <= 2.0 * math.ulp(x)
+
+
+@contextlib.contextmanager
+def _alarm(seconds: int):
+    """Raise TimeoutError in the body once `seconds` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_the_golden_section_ends_where_an_ulp_exceeds_an_absolute_width():
+    # the best response lies near 9.4e5, where an ulp of the bracket's left
+    # end exceeds 1e-10: an absolute golden width stopped the bracket
+    # shrinking, and the guessed golden path grew until memory ran out
+    mp = pytest.importorskip("mpmath")
+    chain = BlockchainParams(quad_coeff=1e-7, lin_coeff=0.1, const_coeff=1e-7, compute_coeff=3.0)
+    cfg = make_config([make_sensor(unit_rate_price=2.0, bandwidth=1e7)], blockchain=chain)
+    with _alarm(1):
+        x = best_response(0, np.array([]), cfg)
+        res = solve(cfg)
+    assert res.converged and res.rates[0] == x
+    with mp.workdps(50):
+        own = own_rate_50_digits(mp, cfg, np.array([0.1]))(0)
+        root = mp.findroot(lambda t: own(t)[1], mp.mpf(x))
+        assert abs(x - root) <= 1e-14 * root
+
+
+def _own_minimum_config():
+    """Two sensors whose pseudo-gradient vanishes near (4.62e-5, 3.72e-4),
+    where both own curvatures are positive (ROADMAP item 12, case A, rounded
+    to 4 digits)."""
+    columns = dict(
+        bandwidth=[3.369, 0.03398], channel_gain=[35.59, 180.6], ap_distance=[0.2785, 0.3428],
+        path_loss_exp=[3.973, 3.420], circuit_power=[0.8361, 4.021],
+        unit_rate_price=[307.3, 38.42], beacon_distance=[0.6431, 1.705],
+        max_received_power=[260.3, 298.9],
+    )
+    sensors = [make_sensor(**{k: v[j] for k, v in columns.items()}) for j in range(2)]
+    chain = BlockchainParams(quad_coeff=0.04393, lin_coeff=0.09349, const_coeff=0.1444,
+                             compute_coeff=3.511)
+    return make_config(sensors, noise_variance=0.1453, power_price=0.1521, blockchain=chain)
+
+
+def test_newton_returns_its_start_from_a_root_that_is_no_own_maximum():
+    # one Newton step from `near` reaches the root, where both own
+    # curvatures are positive: an own minimum, which was reported worth verifying
+    cfg, near = _own_minimum_config(), np.array([4.61950323e-05, 3.72279706e-04])
+    assert (model._curvatures(near, cfg) > 0.0).all()
+    r, used, worth_verifying = equilibrium._refine_newton(near, cfg, 0.0, 10)
+    assert np.array_equal(r, near) and (used, worth_verifying) == (1, False)
+
+
+@pytest.mark.parametrize("method", equilibrium._METHODS)
+def test_a_converged_answer_at_an_own_minimum_config_passes_verify(method):
+    # gradient ascent's refinement ran to the root above and certified it
+    # after 13 iterations; verify's gain there is 6981
+    cfg = _own_minimum_config()
+    res = solve(cfg, SolverOptions(method=method, min_rate=0.0, max_iter=400))
+    assert res.converged or method != "gauss_seidel_br"
+    if res.converged:
+        assert verify_epsilon_ne(res.rates, cfg, 1e-6, 500, 0.0)[0]
 
 
 def _fee_free_corner_config():
