@@ -56,8 +56,9 @@ relative, times max(1, a): above 2^19 an ulp of a exceeds _GOLDEN_WIDTH.
 One step function serves loop and guess; each decision reads the real value
 at the loop's own float, so a wrong guess costs a call, never a bit.
 Without the golden tail, x_hat riding in its first call or the scan's grid
-seeding the table, sec4-family Gauss-Seidel solves take about 3%, 9% and 13%
-longer; a bisection tail saved about 1%.  Guesses stay in the bracket.  The
+seeding the table, sec4-family Gauss-Seidel solves take about 3%, 11% and 14%
+longer (medians of 10 alternating in-process passes; the first is within
+their spread); a bisection tail saved about 1%.  Guesses stay in the bracket.  The
 polish runs first and passes its root to the golden section as x_hat; the
 golden section reads only the feasible [min_rate, rate_upper_bound], so the
 polish's error raises at once.
@@ -603,6 +604,9 @@ def check_existence(
     evaluates every sensor's closed-form utility_second_derivative at the
     first `samples` feasible quasi-random (Halton) points of the box, skipping
     exactly the infeasible ones, in batches of at most _STACK_SIZE rates.
+    The worst case is the first of the largest curvatures, in sample then
+    sensor order, and a NaN ranks above every number: a sample that cannot be
+    ordered fails numeric_concavity and is the one reported.
 
     Raises:
         InfeasibilityError: the region's lower corner is already infeasible,
@@ -635,7 +639,7 @@ def check_existence(
 
     # Halton points in order until `samples` feasible ones are evaluated; the
     # infeasible ones are skipped.  A batch stays within _STACK_SIZE rates.
-    worst_value, worst_sensor, worst_point = -math.inf, -1, lower.copy()
+    worst = None        # (value, sensor, point): the first of the largest, NaN first
     evaluated = skipped = 0
     limit, size = 200 * samples, min(256, max(1, _STACK_SIZE // n))
     for start in range(0, limit, size):
@@ -647,11 +651,9 @@ def check_existence(
         evaluated += int(fine.sum())
         values = _curvatures(batch[fine], cfg)
         if values.size:
-            best = values.max(axis=1)
-            k = int(np.argmax(best))            # the first of the largest
-            if best[k] > worst_value:
-                worst_value, worst_sensor = float(best[k]), int(np.argmax(values[k]))
-                worst_point = batch[fine][k]
+            k, i = np.unravel_index(np.argmax(values), values.shape)    # argmax ranks NaN first
+            if worst is None or np.argmax([worst[0], values[k, i]]):    # strictly larger, or NaN
+                worst = float(values[k, i]), int(i), batch[fine][k]
         if evaluated >= samples:
             break
     if evaluated < samples:
@@ -659,17 +661,11 @@ def check_existence(
             f"could only evaluate {evaluated}/{samples} points in the region; "
             "almost all of it is infeasible"
         )
-    details = ConcavityWorstCase(
-        value=worst_value,
-        sensor=worst_sensor,
-        rates=worst_point,
-        evaluated=evaluated,
-        skipped=skipped,
-    )
+    details = ConcavityWorstCase(*worst, evaluated=evaluated, skipped=skipped)
     return ExistenceReport(
         condition_a=condition_a,
         condition_b=condition_b,
-        numeric_concavity=worst_value < 0.0,
+        numeric_concavity=details.value < 0.0,     # False at NaN
         details=details,
     )
 

@@ -35,6 +35,9 @@ selector (one sensor, an index array or slice(None)) and the own column's
 inputs, Python floats for one sensor and arrays for a profile or a stack.
 Every evaluation calls it, the power-space utility too.  The one exception is
 `equilibrium._stationary_estimate`'s scalar Newton: NumPy made it 9x slower at n = 10.
+The fee's derivatives have a second arrangement below the total rate
+`BlockchainParams.tiny_total` (`_tiny_fee_slope`, `_tiny_fee_curvatures`),
+where the usual one overflows or divides by an underflowed power of the total.
 
 A full-profile own row copies the profile with one entry replaced and
 evaluates it whole (`_own_utilities` by `_invert`, `_own_gradients` by
@@ -49,6 +52,7 @@ of 2^(-r/b), which a Newton iterate carries to its Jacobian.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -167,6 +171,13 @@ class BlockchainParams:
         _require(math.isfinite(self.lin_coeff * m), "lin_coeff", "b*m overflows")
         _require(math.isfinite(_bill(1.0, self)), "compute_coeff",
                  "the bill at total rate 1 overflows")
+
+    @cached_property
+    def tiny_total(self) -> float:
+        """max(2^-340, (8c/DBL_MAX)^(1/3)): below this total rate rho^3 leaves
+        the normal range or c/rho^3 nears overflow, so the fee derivatives
+        take their tiny-total arrangement (`_tiny_fee_slope`)."""
+        return max(2.0**-340, (self.const_coeff / sys.float_info.max * 8.0) ** (1.0 / 3.0))
 
     @property
     def concavity_margin(self) -> float:
@@ -543,7 +554,11 @@ def utility_gradient_analytic(i: int, rates: RateVector, cfg: GameConfig) -> flo
 
 
 def gradient_all(r: np.ndarray, cfg: GameConfig) -> np.ndarray:
-    """Analytic gradients d u_i / d r_i for every sensor at once."""
+    """Analytic gradients d u_i / d r_i for every sensor at once.
+
+    Below the total rate cfg.blockchain.tiny_total the fee slope takes
+    _tiny_fee_slope's arrangement, so that no power of the total underflows;
+    an entry whose exact value lies past the float range is +-inf."""
     return _gradient(r, _terms(r, cfg), cfg)
 
 
@@ -575,17 +590,56 @@ def _own_gradient(j, x, z, t, eps, total, cfg: GameConfig):
     tp = cfg.ln2_per_bandwidth[j] * z     # dt/dr
     dbeta = cfg.noise_variance * tp * (eps + t) / (eps * eps)
     dpower_cost = cfg.beta_cost_factors[j] * dbeta
-    bc = cfg.blockchain
-    am2 = bc.quad_coeff * bc.compute_coeff**2
     billed = total > 0.0
     rho = _where(billed, total, 1.0)       # a zero total has no fees
-    dfee = (
-        am2 * rho
-        + bc.lin_coeff * bc.compute_coeff
-        + bc.const_coeff / rho
-        + x * (am2 - bc.const_coeff / _pow(rho, 2))
-    )
+    dfee = _by_total(x, rho, cfg.blockchain, _fee_slope, _tiny_fee_slope)
     return cfg.rate_prices[j] - dpower_cost - _where(billed, dfee, 0.0)
+
+
+def _fee_slope(x, rho, bc: BlockchainParams):
+    """d fee / d x of a sensor at own rate x and billed total rho > 0."""
+    am2 = bc.quad_coeff * bc.compute_coeff**2
+    return (am2 * rho + bc.lin_coeff * bc.compute_coeff + bc.const_coeff / rho
+            + x * (am2 - bc.const_coeff / _pow(rho, 2)))
+
+
+def _tiny_fee_slope(x, rho, bc: BlockchainParams):
+    """_fee_slope rearranged for a total below bc.tiny_total, where c/rho^2
+    would overflow or rho^2 underflow: each term is c times a ratio in
+    [-1, 1] divided by rho, so it overflows to +-inf only where its exact
+    value leaves the float range."""
+    am2 = bc.quad_coeff * bc.compute_coeff**2
+    with np.errstate(over="ignore"):
+        return am2 * (rho + x) + bc.lin_coeff * bc.compute_coeff + bc.const_coeff * ((rho - x) / rho) / rho
+
+
+def _fee_curvatures(x, rho, bc: BlockchainParams):
+    """(d^2 fee / dx dx_j for j != the own sensor, d^2 fee / dx^2) at own
+    rate x and billed total rho > 0."""
+    am2, c = bc.quad_coeff * bc.compute_coeff**2, bc.const_coeff
+    rho2 = _pow(rho, 2)
+    row = am2 - c / rho2 + 2.0 * c * x / _pow(rho, 3)
+    return row, row + am2 - c / rho2
+
+
+def _tiny_fee_curvatures(x, rho, bc: BlockchainParams):
+    """_fee_curvatures in _tiny_fee_slope's arrangement, divided by rho twice."""
+    am2, c = bc.quad_coeff * bc.compute_coeff**2, bc.const_coeff
+    with np.errstate(over="ignore"):
+        return (am2 + c * ((2.0 * x - rho) / rho) / rho / rho,
+                2.0 * am2 - 2.0 * (c * ((rho - x) / rho) / rho / rho))
+
+
+def _by_total(x, rho, bc: BlockchainParams, usual, tiny):
+    """usual(x, rho, bc), or tiny(x, rho, bc) where the billed total rho is
+    below bc.tiny_total: one comparison for a float, one .any() for an array."""
+    small = rho < bc.tiny_total
+    if isinstance(small, bool):
+        return tiny(x, rho, bc) if small else usual(x, rho, bc)
+    if not small.any():
+        return usual(x, rho, bc)
+    with np.errstate(all="ignore"):     # usual's rows below the floor are discarded
+        return np.where(small, tiny(x, rho, bc), usual(x, rho, bc))
 
 
 def _own_gradients(i: int, r: np.ndarray, x: np.ndarray, cfg: GameConfig) -> np.ndarray:
@@ -602,7 +656,9 @@ def _own_gradients(i: int, r: np.ndarray, x: np.ndarray, cfg: GameConfig) -> np.
 
 def utility_second_derivative(i: int, rates: RateVector, cfg: GameConfig) -> float:
     """d^2 u_i / d r_i^2 at an interior rate profile, in closed form: the
-    diagonal of the pseudo-gradient Jacobian (_jacobian_terms).
+    diagonal of the pseudo-gradient Jacobian (_jacobian_terms).  Below the
+    total rate cfg.blockchain.tiny_total the fee terms take the arrangement
+    of _tiny_fee_curvatures, and a value past the float range is +-inf.
 
     Raises ValueError where r_i <= 0 or a rate is not finite and >= 0, and
     InfeasibleRates or PowerBoundExceeded where the profile is infeasible.
@@ -633,19 +689,16 @@ def _jacobian_terms(R: np.ndarray, cfg: GameConfig, terms=None):
     z, t, _, eps, rho = _terms(R, cfg) if terms is None else terms
     billed = rho > 0.0
     rho = _where(billed, rho, 1.0)
-    e2, rho2 = _pow(eps, 2), _pow(rho, 2)
+    e2 = _pow(eps, 2)
     lb = cfg.ln2_per_bandwidth
     tp, tpp = lb * z, -(lb**2) * z          # dt/dr, d^2t/dr^2
     ks2 = cfg.beta_cost_factors * cfg.noise_variance
     te = t + eps
     big = 2.0 * te / _pow(eps, 3)
     d2p = ks2 * (tpp * te / e2 + tp * tp * big)     # of the charging cost
-    bc = cfg.blockchain
-    am2 = bc.quad_coeff * bc.compute_coeff**2
-    row = _where(billed, am2 - bc.const_coeff / rho2 + 2.0 * bc.const_coeff * R / _pow(rho, 3),
-                 np.zeros_like(R))
-    d2u = -d2p - _where(billed, row + am2 - bc.const_coeff / rho2, 0.0)
-    return d2u, ks2 * tp, tp, big - 1.0 / e2, row
+    row, own = _by_total(R, rho, cfg.blockchain, _fee_curvatures, _tiny_fee_curvatures)
+    d2u = -d2p - _where(billed, own, 0.0)
+    return d2u, ks2 * tp, tp, big - 1.0 / e2, _where(billed, row, np.zeros_like(R))
 
 
 def _pow(a, k: int):

@@ -5,12 +5,15 @@ import re
 import signal
 import sys
 import time
+import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import REPO_ROOT, make_config, make_sensor, own_rate_50_digits
+from fuzz_games import draw_game
 from crowdgame import equilibrium, model, oracle
 from crowdgame.equilibrium import (
     EmptyFeasibleInterval,
@@ -162,6 +165,63 @@ def test_check_existence_single_sensor_condition_b(single_interior_cfg):
 def test_check_existence_infeasible_region(sec4_cfg):
     with pytest.raises(InfeasibleRates):
         check_existence(sec4_cfg, region=(0.5, 0.6), samples=10)
+
+
+def test_a_nan_curvature_fails_the_existence_check(sec4_cfg):
+    # at bandwidth 1e-160 sensor 1's (ln2/b)^2 overflows and its sampled
+    # curvature is NaN, which ranks above every number: a -inf start that a
+    # NaN never replaced certified concavity at "sensor -1"
+    sensors = list(sec4_cfg.sensors)
+    sensors[1] = replace(sensors[1], bandwidth=1e-160)
+    cfg = replace(sec4_cfg, sensors=sensors)
+    lower, upper = np.full(10, 0.1), np.full(10, 0.5)
+    lower[1] = upper[1] = 1e-161
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = check_existence(cfg, (lower, upper), 200)
+    d = report.details
+    assert not report.numeric_concavity and math.isnan(d.value) and d.sensor == 1
+    assert (d.evaluated, d.skipped) == (200, 75)
+
+
+def test_the_existence_check_starts_from_its_first_sample(sec4_cfg, monkeypatch):
+    # no sentinel: where every curvature is -inf the first sample, the lower
+    # corner, and its first sensor are the worst case
+    monkeypatch.setattr(equilibrium, "_curvatures", lambda R, cfg: np.full(R.shape, -np.inf))
+    report = check_existence(sec4_cfg, (0.1, 0.5), 50)
+    d = report.details
+    assert report.numeric_concavity and d.value == -math.inf and d.sensor == 0
+    assert d.rates.tolist() == [0.1] * 10
+
+
+def test_the_existence_check_keeps_the_first_of_the_largest_and_the_first_nan(
+    sec4_cfg, monkeypatch
+):
+    # a feasible box in batches of 5 points: a tie keeps the earlier point, a
+    # NaN replaces a number and stays, even against a larger number
+    batches = []
+
+    def marked(R, cfg):
+        values = np.full(R.shape, -1.0)
+        k = len(batches)
+        batches.append(R.copy())
+        if k == 0:
+            values[3, 2] = 2.0
+        if k == 1:
+            values[0, 0] = 2.0
+        if k == 2:
+            values[4, 9] = np.nan
+        if k == 3:
+            values[0, 1], values[1, 1] = 1e300, np.nan
+        return values
+
+    monkeypatch.setattr(equilibrium, "_curvatures", marked)
+    monkeypatch.setattr(equilibrium, "_STACK_SIZE", 50)
+    d = check_existence(sec4_cfg, (0.1, 0.12), 10).details
+    assert (d.value, d.sensor, d.rates.tolist()) == (2.0, 2, batches[0][3].tolist())
+    batches.clear()
+    d = check_existence(sec4_cfg, (0.1, 0.12), 20).details
+    assert math.isnan(d.value) and (d.sensor, d.rates.tolist()) == (9, batches[2][4].tolist())
+    assert [len(R) for R in batches] == [5] * 4 and d.evaluated == 20
 
 
 def test_check_existence_rejects_bad_arguments(sec4_cfg):
@@ -832,6 +892,51 @@ def test_solve_never_raises_on_random_games(method):
         res = solve(cfg, opts)
         assert res.rates.shape == (n,)
         invert_rates(res.rates, cfg)
+
+
+_EXISTENCE_WARNING = "existence condition a*m^2 - c >= 0 fails"
+
+
+def _fuzz_outcome(cfg, opts):
+    """How a solve ends, "converged", "unconverged" or the name of a
+    ValueError or InfeasibilityError, checking that it ends within 5 s and
+    warns nothing but the existence warning."""
+    with warnings.catch_warnings(record=True) as caught, _alarm(5):
+        warnings.simplefilter("always")
+        start = time.perf_counter()
+        try:
+            outcome = "converged" if solve(cfg, opts).converged else "unconverged"
+        except (ValueError, InfeasibilityError) as e:
+            outcome = type(e).__name__
+        elapsed = time.perf_counter() - start
+    assert elapsed < 5.0
+    assert [str(w.message) for w in caught if not str(w.message).startswith(_EXISTENCE_WARNING)] == []
+    return outcome
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fuzzed_games_end_in_a_documented_outcome(sec4_cfg, seed):
+    # ROADMAP item 12's recipe, 30 draws a seed, every method at 400
+    # iterations, and gradient ascent from rates of 1e-200 at min_rate 0,
+    # where the fee slope c/rho + x(am^2 - c/rho^2) divided by zero
+    rng = np.random.default_rng(seed)
+    outcomes = Counter()
+    for _ in range(30):
+        cfg, min_rate = draw_game(rng, sec4_cfg)
+        for method in equilibrium._METHODS:
+            opts = SolverOptions(method=method, min_rate=min_rate, max_iter=400)
+            outcomes[_fuzz_outcome(cfg, opts)] += 1
+        tiny = np.full(cfg.n_sensors, 1e-200)
+        opts = SolverOptions(method="gradient_ascent", min_rate=0.0, max_iter=400, init_rates=tiny)
+        outcomes[_fuzz_outcome(cfg, opts)] += 1
+    assert outcomes["converged"] > 30, outcomes
+
+
+@pytest.mark.parametrize("method", ["jacobi_br", "gradient_ascent"])
+def test_solves_from_rates_of_1e_200_end_in_a_documented_outcome(sec4_cfg, method):
+    # both raised ZeroDivisionError from the fee slope at the tiny total
+    opts = SolverOptions(method=method, min_rate=0.0, max_iter=400, init_rates=np.full(10, 1e-200))
+    assert _fuzz_outcome(sec4_cfg, opts) in ("converged", "unconverged")
 
 
 def _seeded_game(seed, n=10):

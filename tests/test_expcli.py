@@ -1,7 +1,9 @@
 import argparse
 import csv
 import json
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -409,6 +411,18 @@ def test_check_exit_codes(tmp_path, capsys):
     doc["blockchain"]["compute_coeff"] = 1.0
     code = main(["check", "--config", write_doc(tmp_path, doc), "--samples", "5"])
     assert code == EXIT_EXISTENCE
+
+
+def test_check_fails_where_the_utility_is_convex_at_tiny_totals(capsys):
+    # at rates of 1e-110 the fee's curvature -2c(rho - x)/rho^3 dominates and
+    # each own utility is convex; the check read -inf there and exited 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["check", "--config", str(SEC4_CONFIG_PATH),
+                     "--region-low", "1e-110", "--region-high", "1e-110"])
+    assert code == EXIT_EXISTENCE
+    worst = re.search(r"^worst second derivative: (\S+) at sensor 1$", capsys.readouterr().out, re.M)
+    assert worst and 0.0 < float(worst[1]) < math.inf
 
 
 def test_check_infeasible_region_exit_code():

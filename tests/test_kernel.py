@@ -9,6 +9,7 @@ instead.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -337,6 +338,44 @@ def test_second_derivative_matches_scalar_reference(sec4_cfg):
                 assert got == ref.reference_curvature(r, sec4_cfg)[i]
             seen.add(got[0] if isinstance(got, tuple) else float)
     assert seen == {float, InfeasibleRates, PowerBoundExceeded, ValueError}
+
+
+def _within_float_range_of(got, exact) -> bool:
+    """got is exact to 1e-13 relative, or exact's signed infinity where
+    |exact| lies past the largest float."""
+    if abs(exact) > sys.float_info.max:
+        return got == math.copysign(math.inf, exact)
+    return abs(got - exact) <= 1e-13 * abs(exact)
+
+
+@pytest.mark.parametrize("rate, const_coeff", [
+    (1e-160, 0.1), (1e-170, 0.1), (1e-200, 0.1), (1e-300, 0.1), (1e-110, 0.1), (1e-100, 0.1),
+    (1e-60, 1e300), (1e-3, 1e300),
+])
+def test_derivatives_at_tiny_totals_meet_50_digits(sec4_cfg, rate, const_coeff):
+    # sec4 with every rate equal: below the total BlockchainParams.tiny_total
+    # the fee's c/rho^2 and c R/rho^3 overflowed, or rho^2 underflowed to 0.
+    # The gradient read +inf at 1e-160 and divided by zero from 1e-170 on;
+    # the curvature read -inf at 1e-110, where the utility is convex; both
+    # read NaN at 1e-60 with c = 1e300.  The last case is past the floor.
+    mp = pytest.importorskip("mpmath")
+    cfg = replace(sec4_cfg, blockchain=replace(sec4_cfg.blockchain, const_coeff=const_coeff))
+    r = np.full(10, rate)
+    g, d2u = gradient_all(r, cfg), _curvatures(r, cfg)
+    for i in range(10):
+        assert utility_gradient_analytic(i, r, cfg) == g[i]
+        assert utility_second_derivative(i, r, cfg) == d2u[i]
+        x = mp.mpf(rate)
+        with mp.workdps(50):
+            assert _within_float_range_of(g[i], own_rate_50_digits(mp, cfg, r)(i)(x)[1]), i
+        with mp.workdps(80):
+            slope = lambda y: own_rate_50_digits(mp, cfg, r)(i)(y)[1]
+            assert _within_float_range_of(d2u[i], mp.diff(slope, x, h=x * 1e-30)), i
+    # a stack mixing tiny and ordinary totals takes each row's own arrangement
+    wide = _with_entry(r, 3, 0.2)
+    assert np.array_equal(_curvatures(np.array([r, wide]), cfg), [d2u, _curvatures(wide, cfg)])
+    x = np.array([rate, 0.2])
+    assert _own_gradients(3, r, x, cfg).tolist() == [g[3], gradient_all(wide, cfg)[3]]
 
 
 def test_curvatures_are_the_jacobian_diagonal(sec4_cfg):
